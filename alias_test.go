@@ -13,7 +13,7 @@ import (
 // remotely as one client's response bytes changing under another's
 // request — so this is tier-1, not just hygiene.
 func TestNoAliasedResults(t *testing.T) {
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4, CacheFrames: 64})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestNoAliasedResults(t *testing.T) {
 // range over the same pages is mid-flight — the sharpest version of the
 // aliasing hazard, since both descents draw from the same buffer pools.
 func TestNoAliasedResultsInterleaved(t *testing.T) {
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4, CacheFrames: 64})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestBackendMmapEndToEnd(t *testing.T) {
 
 	// Reopen on the mmap backend: committed reads are zero-copy from the
 	// first Get (staged reads only exist before a commit).
-	re, err := OpenBackend(path, 0, BackendMmap)
+	re, err := OpenBackend(path, BackendMmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBackendCrossOpen(t *testing.T) {
 				if err := ix.Close(); err != nil {
 					t.Fatal(err)
 				}
-				re, err := OpenBackend(path, 64, reopen)
+				re, err := OpenBackend(path, reopen)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,7 +34,7 @@ func BenchmarkGetHot(b *testing.B) {
 func newFileBenchIndex(b *testing.B) *Index {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.bmeh")
-	ix, err := Create(path, Options{Dims: 2, PageCapacity: 32, CacheFrames: 4096})
+	ix, err := Create(path, Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -76,15 +76,14 @@ type Backend int
 
 const (
 	// BackendFile (default) is the pread/pwrite engine: page reads copy
-	// through a pooled buffer (and the optional CacheFrames byte pool).
+	// through a pooled buffer.
 	BackendFile Backend = iota
 	// BackendMmap maps the page file into memory and serves reads as
 	// zero-copy slices straight out of the mapping, with msync at the
 	// commit barrier. The on-disk format and crash-consistency protocol
 	// are identical to BackendFile — a file created by one backend opens
-	// under the other — but the byte pool is bypassed entirely (the OS
-	// page cache is the byte cache), so CacheFrames is ignored. On
-	// platforms without mmap support it degrades to the pread path.
+	// under the other. On platforms without mmap support it degrades to
+	// the pread path.
 	BackendMmap
 )
 
@@ -163,12 +162,11 @@ type Options struct {
 	NodeBits []int
 	// Width is the significant bits per key component (default 32, max 64).
 	Width int
-	// CacheFrames enables a write-back page cache of that many frames
-	// between the index and its store (0 disables caching). The cache is
-	// lock-striped with CLOCK eviction, so concurrent lookups on a warm
-	// cache do not serialize. With a cache, Stats reports physical I/O
-	// only; call Sync to force dirty pages out. Ignored by BackendMmap,
-	// which bypasses the byte pool (the OS page cache fills that role).
+	// CacheFrames is ignored.
+	//
+	// Deprecated: the byte-page pool it sized has been removed. Pages are
+	// cached decoded above the store (see SetDecodedCacheCapacity) and as
+	// bytes by the OS page cache below it.
 	CacheFrames int
 	// Backend selects the storage engine for file-backed indexes
 	// (default BackendFile); in-memory indexes (New) ignore it.
@@ -215,7 +213,10 @@ type SyncPolicy struct {
 // Enabled reports whether the policy asks for any coalescing.
 func (p SyncPolicy) Enabled() bool { return p.Interval > 0 || p.MaxBatch > 0 }
 
-// PoolStats is a snapshot of the page cache's counters (CacheFrames > 0).
+// PoolStats is a snapshot of a byte-page pool's counters.
+//
+// Deprecated: the byte-page pool has been removed; Index.PoolStats always
+// reports ok == false and a zero PoolStats.
 type PoolStats struct {
 	Hits       uint64 // lookups served from a resident frame
 	Misses     uint64 // lookups that faulted a page in from the store
@@ -278,7 +279,6 @@ type Index struct {
 	scheme Scheme
 	idx    impl
 	store  pagestore.Store
-	cached *pagestore.CachedStore
 	file   *pagestore.FileDisk
 	// mdisk is set when the index runs on BackendMmap; file then aliases
 	// mdisk's embedded FileDisk, so the commit/replication/fsck paths are
@@ -360,13 +360,8 @@ func New(opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st pagestore.Store = pagestore.NewMemDisk(requiredPageBytes(opts.Scheme, prm))
-	ix := &Index{opts: opts, prm: prm, scheme: opts.Scheme}
-	if opts.CacheFrames > 0 {
-		ix.cached = pagestore.NewCachedStore(st, opts.CacheFrames)
-		st = ix.cached
-	}
-	ix.store = st
+	st := pagestore.NewMemDisk(requiredPageBytes(opts.Scheme, prm))
+	ix := &Index{opts: opts, prm: prm, scheme: opts.Scheme, store: st}
 	ix.idx, err = buildImpl(opts.Scheme, st, prm)
 	if err != nil {
 		return nil, err
@@ -416,9 +411,6 @@ func Create(path string, opts Options) (*Index, error) {
 			return nil, err
 		}
 		ix.mdisk, ix.file = md, md.FileDisk
-		// No byte pool over mmap: the decoded-node cache sits directly on
-		// the zero-copy slice path.
-		ix.opts.CacheFrames = 0
 		st = md
 	} else {
 		file, err := pagestore.CreateFileDisk(path, requiredPageBytes(opts.Scheme, prm))
@@ -427,10 +419,6 @@ func Create(path string, opts Options) (*Index, error) {
 		}
 		ix.file = file
 		st = file
-		if opts.CacheFrames > 0 {
-			ix.cached = pagestore.NewCachedStore(st, opts.CacheFrames)
-			st = ix.cached
-		}
 	}
 	file := ix.file
 	ix.store = st
@@ -452,25 +440,24 @@ func Create(path string, opts Options) (*Index, error) {
 }
 
 // Open opens a file-backed Index previously written by Create.
-// cacheFrames > 0 enables a page cache as in Options.CacheFrames.
-func Open(path string, cacheFrames int) (*Index, error) {
-	return OpenBackend(path, cacheFrames, BackendFile)
+func Open(path string) (*Index, error) {
+	return OpenBackend(path, BackendFile)
 }
 
 // OpenBackend is Open with an explicit storage engine. The backend is a
 // property of the process, not the file: either backend opens any index
 // file (the on-disk format is shared), so a store written under
 // BackendFile can be served mmap'd and vice versa.
-func OpenBackend(path string, cacheFrames int, backend Backend) (*Index, error) {
-	return OpenWithOptions(path, Options{CacheFrames: cacheFrames, Backend: backend})
+func OpenBackend(path string, backend Backend) (*Index, error) {
+	return OpenWithOptions(path, Options{Backend: backend})
 }
 
 // OpenWithOptions is Open with the full set of runtime options: Backend,
-// CacheFrames, WriteMode and SyncPolicy are honored; geometry fields
-// (Scheme, Dims, PageCapacity, NodeBits, Width) are recovered from the
-// file and ignored in opts.
+// WriteMode and SyncPolicy are honored; geometry fields (Scheme, Dims,
+// PageCapacity, NodeBits, Width) are recovered from the file and ignored
+// in opts.
 func OpenWithOptions(path string, opts Options) (*Index, error) {
-	cacheFrames, backend := opts.CacheFrames, opts.Backend
+	backend := opts.Backend
 	ix := &Index{}
 	var st pagestore.Store
 	if backend == BackendMmap {
@@ -487,10 +474,6 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		}
 		ix.file = fd
 		st = fd
-		if cacheFrames > 0 {
-			ix.cached = pagestore.NewCachedStore(st, cacheFrames)
-			st = ix.cached
-		}
 	}
 	file := ix.file
 	// The meta area can hold up to a page: a v3 record carries the COW
@@ -526,16 +509,12 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		file.Close()
 		return nil, err
 	}
-	if backend == BackendMmap {
-		cacheFrames = 0 // no byte pool over mmap
-	}
 	ix.opts = Options{
 		Scheme:       ix.scheme,
 		Dims:         ix.prm.Dims,
 		PageCapacity: ix.prm.Capacity,
 		NodeBits:     ix.prm.Xi,
 		Width:        ix.prm.Width,
-		CacheFrames:  cacheFrames,
 		Backend:      backend,
 		WriteMode:    opts.WriteMode,
 		SyncPolicy:   opts.SyncPolicy,
@@ -607,7 +586,7 @@ func (ix *Index) fillKey(v bitkey.Vector, k Key) error {
 	return nil
 }
 
-// keyPooled is key backed by the index's buffer pool; return the buffer
+// keyPooled is key backed by the index's key pool; return the buffer
 // with putKey once the operation no longer reads it.
 func (ix *Index) keyPooled(k Key) (*bitkey.Vector, error) {
 	if len(k) != ix.prm.Dims {
@@ -889,11 +868,16 @@ func (ix *Index) Len() int {
 	return ix.idx.Len()
 }
 
-// Stats reports storage statistics. With a cache enabled, Reads and Writes
-// count physical I/O below the cache.
+// Stats reports storage statistics.
 type Stats struct {
-	// Reads and Writes are page-level I/O counts since creation (or the
-	// last ResetStats call on the underlying store).
+	// Reads and Writes are page-level counts of store operations since
+	// creation (or the last ResetStats call on the underlying store).
+	// What a read is depends on the store. File-backed indexes (both
+	// backends) count physical reads: a page served from the decoded
+	// caches costs none, a page served by the OS page cache still counts.
+	// In-memory indexes count logical reads: a decoded-cache hit is
+	// still charged one read, so Reads follows the paper's §4 access
+	// model.
 	Reads, Writes uint64
 	// Records is the number of stored records.
 	Records int
@@ -1086,25 +1070,17 @@ func (ix *Index) SetDecodedCacheCapacity(nodes, pages int) error {
 	return nil
 }
 
-// PoolStats reports the page cache's counters; ok is false when the index
-// was built without a cache (CacheFrames 0).
+// PoolStats always returns (PoolStats{}, false).
+//
+// Deprecated: the byte-page pool has been removed; there are no pool
+// counters to report.
 func (ix *Index) PoolStats() (stats PoolStats, ok bool) {
-	if ix.cached == nil {
-		return PoolStats{}, false
-	}
-	s := ix.cached.PoolStats()
-	return PoolStats{
-		Hits:       s.Hits,
-		Misses:     s.Misses,
-		Evictions:  s.Evictions,
-		Writebacks: s.Writebacks,
-		Shards:     s.Shards,
-		Capacity:   s.Capacity,
-	}, true
+	return PoolStats{}, false
 }
 
-// Sync flushes cached pages and persists the index header (file-backed
-// indexes). In-memory indexes treat Sync as a cache flush. With a
+// Sync writes back deferred page updates and persists the index header
+// (file-backed indexes). In-memory indexes treat Sync as a flush of the
+// decoded cache's dirty pages. With a
 // SyncPolicy set, concurrent and back-to-back Sync calls coalesce into one
 // commit; each caller still returns only once everything it staged is
 // durable.
@@ -1118,7 +1094,7 @@ func (ix *Index) Sync() error {
 }
 
 func (ix *Index) syncLocked() error {
-	// Deferred in-place page writes flush first: the pool flush below can
+	// Deferred in-place page writes flush first: the commit below can
 	// only persist bytes that have left the decoded cache.
 	if tr, ok := ix.idx.(*core.Tree); ok {
 		if err := tr.FlushDirtyPages(); err != nil {
@@ -1128,8 +1104,7 @@ func (ix *Index) syncLocked() error {
 	var meta []byte
 	if ix.file != nil {
 		// Marshal first: the MDEH snapshot writes its page-table chain
-		// through the (possibly cached) store, which the flush below must
-		// still see.
+		// through the store, which the commit below must still see.
 		var err error
 		switch v := ix.idx.(type) {
 		case *core.Tree:
@@ -1142,11 +1117,6 @@ func (ix *Index) syncLocked() error {
 			err = fmt.Errorf("bmeh: scheme %v does not support persistence", ix.scheme)
 		}
 		if err != nil {
-			return err
-		}
-	}
-	if ix.cached != nil {
-		if err := ix.cached.Flush(); err != nil {
 			return err
 		}
 	}

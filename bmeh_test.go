@@ -124,7 +124,7 @@ func TestRangeAcrossSchemes(t *testing.T) {
 func TestPersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.bmeh")
 	keys := randKeys(1200, 3, 5)
-	ix, err := Create(path, Options{Dims: 3, PageCapacity: 8, CacheFrames: 64})
+	ix, err := Create(path, Options{Dims: 3, PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(path, 64)
+	re, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPersistenceAllSchemes(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(t.TempDir(), "idx")
 			keys := randKeys(800, 2, 21+int64(s))
-			ix, err := Create(path, Options{Scheme: s, Dims: 2, PageCapacity: 8, CacheFrames: 32})
+			ix, err := Create(path, Options{Scheme: s, Dims: 2, PageCapacity: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestPersistenceAllSchemes(t *testing.T) {
 			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := Open(path, 32)
+			re, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,36 +245,8 @@ func TestOpenRejectsGarbageHeader(t *testing.T) {
 	ix.Close()
 	// Overwrite the meta record with junk via a fresh index... simplest:
 	// truncate the header region by writing a different scheme byte.
-	if _, err := Open(path+"-missing", 0); err == nil {
+	if _, err := Open(path + "-missing"); err == nil {
 		t.Fatal("opened a nonexistent file")
-	}
-}
-
-func TestCacheReducesIO(t *testing.T) {
-	run := func(frames int) uint64 {
-		ix, err := New(Options{Dims: 2, PageCapacity: 8, CacheFrames: frames})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		keys := randKeys(2000, 2, 3)
-		for i, k := range keys {
-			if err := ix.Insert(k, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, k := range keys {
-			if _, ok, _ := ix.Get(k); !ok {
-				t.Fatal("lost key")
-			}
-		}
-		st := ix.Stats()
-		return st.Reads + st.Writes
-	}
-	raw := run(0)
-	cached := run(1024)
-	if cached >= raw/4 {
-		t.Errorf("cache barely helped: raw=%d cached=%d", raw, cached)
 	}
 }
 

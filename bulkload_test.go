@@ -23,7 +23,7 @@ func bulkIter(n uint64) func() (KV, bool, error) {
 // recover every record.
 func TestBulkLoadFsck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bulk.bmeh")
-	ix, err := Create(path, Options{Dims: 2, PageCapacity: 32, CacheFrames: 1024})
+	ix, err := Create(path, Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBulkLoadFsck(t *testing.T) {
 		t.Fatalf("fsck saw %d records, want %d", rep.Records, n)
 	}
 
-	ix, err = Open(path, 1024)
+	ix, err = Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

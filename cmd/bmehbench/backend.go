@@ -1,17 +1,17 @@
 package main
 
 // The -backend mode compares the storage engines head to head on one
-// machine: the pread backend (BackendFile, with its byte pool at the
-// benchmark's frame count) against the mmap backend (BackendMmap, whose
-// byte pool is the OS page cache) across four phases:
+// machine: the pread backend (BackendFile) against the mmap backend
+// (BackendMmap). Both cache page bytes only in the OS page cache; they
+// differ in whether a read copies. Four phases:
 //
 //   - bulk_load: bottom-up build of N records (mmap runs it under
 //     MADV_SEQUENTIAL via BulkLoad's built-in hint).
 //   - cold_get: point reads on a freshly reopened index — decoded caches
 //     empty, every page read is a first touch (madvise RANDOM on mmap).
 //   - warm_miss_get: point reads with the decoded caches disabled — the
-//     byte layer is warm, so this isolates the per-read page path:
-//     pread/pool copy + decode versus zero-copy slice + decode.
+//     OS page cache is warm, so this isolates the per-read page path:
+//     pread copy + decode versus zero-copy slice + decode.
 //   - range_scan: a full scan (madvise SEQUENTIAL on mmap), decoded
 //     caches still disabled.
 //
@@ -34,12 +34,6 @@ import (
 	"bmeh"
 )
 
-// backendPoolFrames is the pread backend's byte-pool size for the sweep.
-// The mmap backend runs with no pool by design; "equal pool size" means
-// the pread side is given at least the whole working set, so neither
-// backend is starved of byte-cache capacity.
-const backendPoolFrames = 8192
-
 // BackendResult is one (backend, phase) timing.
 type BackendResult struct {
 	Backend   string  `json:"backend"`
@@ -55,7 +49,6 @@ type BackendReport struct {
 	Records        int    `json:"records"`
 	GetOps         int    `json:"get_ops_per_phase"`
 	PageCapacity   int    `json:"page_capacity"`
-	PoolFrames     int    `json:"file_backend_pool_frames"`
 	KernelPageSize int    `json:"kernel_page_size"`
 	NumCPU         int    `json:"num_cpu"`
 	GoMaxProcs     int    `json:"gomaxprocs"`
@@ -106,7 +99,6 @@ func runBackend(w io.Writer, n int, progress func(string, ...interface{})) (*Bac
 		Records:        n,
 		GetOps:         getOps,
 		PageCapacity:   32,
-		PoolFrames:     backendPoolFrames,
 		KernelPageSize: os.Getpagesize(),
 		NumCPU:         runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
@@ -149,10 +141,6 @@ func runBackend(w io.Writer, n int, progress func(string, ...interface{})) (*Bac
 	}
 	for _, cfg := range configs {
 		name, be := cfg.name, cfg.be
-		frames := backendPoolFrames
-		if be == bmeh.BackendMmap {
-			frames = 0
-		}
 		path := filepath.Join(dir, name+".bmeh")
 		// Applied after every (re)open of this leg's index: the huge-page
 		// hint survives remapping, but a fresh open is a fresh mapping.
@@ -172,7 +160,7 @@ func runBackend(w io.Writer, n int, progress func(string, ...interface{})) (*Bac
 		// Phase 1: bulk load. (BulkLoad self-advises SEQUENTIAL on mmap.)
 		progress("backend %s: bulk_load (N=%d)...\n", name, n)
 		ix, err := bmeh.Create(path, bmeh.Options{
-			Dims: 2, PageCapacity: 32, CacheFrames: frames, Backend: be,
+			Dims: 2, PageCapacity: 32, Backend: be,
 		})
 		if err != nil {
 			return nil, err
@@ -211,7 +199,7 @@ func runBackend(w io.Writer, n int, progress func(string, ...interface{})) (*Bac
 
 		// Phase 2: cold Get — fresh open, all application caches empty.
 		progress("backend %s: cold_get (%d ops)...\n", name, getOps)
-		ix, err = bmeh.OpenBackend(path, frames, be)
+		ix, err = bmeh.OpenBackend(path, be)
 		if err != nil {
 			return nil, err
 		}
@@ -303,8 +291,8 @@ func runBackend(w io.Writer, n int, progress func(string, ...interface{})) (*Bac
 		}
 	}
 
-	fmt.Fprintf(w, "storage backend comparison (N=%d, %d get ops/phase, pool %d frames, NumCPU=%d)\n",
-		n, getOps, backendPoolFrames, rep.NumCPU)
+	fmt.Fprintf(w, "storage backend comparison (N=%d, %d get ops/phase, NumCPU=%d)\n",
+		n, getOps, rep.NumCPU)
 	if !rep.MmapSupported {
 		fmt.Fprintf(w, "NOTE: no mmap on this platform — the mmap column measures the copying fallback.\n")
 	}

@@ -67,9 +67,7 @@ type BulkloadReport struct {
 }
 
 func newBulkBenchIndex(dir string, name string) (*bmeh.Index, error) {
-	return bmeh.Create(filepath.Join(dir, name), bmeh.Options{
-		Dims: 2, PageCapacity: 32, CacheFrames: 4096,
-	})
+	return bmeh.Create(filepath.Join(dir, name), bmeh.Options{Dims: 2, PageCapacity: 32})
 }
 
 // runBulkload executes the comparison, prints a table to w, and returns

@@ -95,7 +95,7 @@ func startBenchCluster(shards int, keys []bmeh.Key) (*local.Cluster, *client.Rou
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := local.Start(dir, local.Options{Shards: shards, Capacity: 32, Cache: 4096})
+	c, err := local.Start(dir, local.Options{Shards: shards, Capacity: 32})
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, err

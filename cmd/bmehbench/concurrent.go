@@ -3,8 +3,8 @@ package main
 // The -concurrent mode measures the scalable read path outside the
 // testing-package harness: for each workload (get / insert / mixed) and
 // each goroutine count it runs a fixed wall-clock window against an
-// in-memory index and reports ops/sec, ns/op, the sharded pool's hit
-// ratio and the speedup relative to the single-goroutine run. -json
+// in-memory index and reports ops/sec, ns/op and the speedup relative to
+// the single-goroutine run. -json
 // records the sweep (plus GOMAXPROCS / NumCPU, so results from
 // single-core machines are legible as such) to a file, conventionally
 // BENCH_concurrent.json at the repo root.
@@ -45,7 +45,6 @@ type ConcurrentResult struct {
 	Ops        uint64  `json:"ops"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
-	HitRate    float64 `json:"hit_rate"`
 	SpeedupVs1 float64 `json:"speedup_vs_1"`
 }
 
@@ -62,12 +61,11 @@ type ConcurrentReport struct {
 	GoVersion      string             `json:"go_version"`
 	Backend        string             `json:"backend"`
 	KernelPageSize int                `json:"kernel_page_size"`
-	CacheFrames    int                `json:"cache_frames"`
 	Results        []ConcurrentResult `json:"results"`
 }
 
 func newConcIndex(n int) (*bmeh.Index, error) {
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 32, CacheFrames: 8192})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +123,6 @@ func runConcWindow(g int, window time.Duration, body func(worker uint64, i uint6
 	return ops.Load(), nil
 }
 
-func concHitRate(ix *bmeh.Index, before bmeh.PoolStats) float64 {
-	after, ok := ix.PoolStats()
-	if !ok {
-		return 0
-	}
-	d := bmeh.PoolStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
-	return d.HitRatio()
-}
-
 // runConcurrent executes the sweep, prints a table to w, and returns the
 // report for optional -json serialization.
 func runConcurrent(w io.Writer, n int, window time.Duration, progress func(string, ...interface{})) (*ConcurrentReport, error) {
@@ -146,15 +135,14 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 		GoVersion:      runtime.Version(),
 		Backend:        "memory",
 		KernelPageSize: os.Getpagesize(),
-		CacheFrames:    8192,
 	}
 	fmt.Fprintf(w, "concurrent sweep (N=%d, window=%v, NumCPU=%d)\n", n, window, rep.NumCPU)
 	if rep.SingleCPU {
 		fmt.Fprintf(w, "NOTE: single-core machine — goroutine counts > 1 time-slice one core,\n")
 		fmt.Fprintf(w, "so the speedup column is omitted (it would not measure scalability).\n")
-		fmt.Fprintf(w, "%-8s %12s %12s %12s %8s\n", "workload", "goroutines", "ops/sec", "ns/op", "hit%")
+		fmt.Fprintf(w, "%-8s %12s %12s %12s\n", "workload", "goroutines", "ops/sec", "ns/op")
 	} else {
-		fmt.Fprintf(w, "%-8s %12s %12s %12s %8s %10s\n", "workload", "goroutines", "ops/sec", "ns/op", "hit%", "speedup")
+		fmt.Fprintf(w, "%-8s %12s %12s %12s %10s\n", "workload", "goroutines", "ops/sec", "ns/op", "speedup")
 	}
 
 	for _, workload := range []string{"get", "insert", "mixed"} {
@@ -162,7 +150,6 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 		for _, g := range concGoroutines {
 			var (
 				ops uint64
-				hit float64
 				err error
 			)
 			progress("concurrent: %s goroutines=%d...\n", workload, g)
@@ -172,7 +159,6 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 				if e != nil {
 					return nil, e
 				}
-				before, _ := ix.PoolStats()
 				ops, err = runConcWindow(g, window, func(worker, i uint64) error {
 					k := concKey(cmix64(i) % uint64(n))
 					_, ok, e := ix.Get(k)
@@ -184,20 +170,17 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 					}
 					return nil
 				})
-				hit = concHitRate(ix, before)
 				ix.Close()
 			case "insert":
-				ix, e := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 32, CacheFrames: 8192})
+				ix, e := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 32})
 				if e != nil {
 					return nil, e
 				}
 				var seq atomic.Uint64
-				before, _ := ix.PoolStats()
 				ops, err = runConcWindow(g, window, func(_, _ uint64) error {
 					v := seq.Add(1)
 					return ix.Insert(concKey(v), v)
 				})
-				hit = concHitRate(ix, before)
 				ix.Close()
 			case "mixed":
 				ix, e := newConcIndex(n)
@@ -206,7 +189,6 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 				}
 				var seq atomic.Uint64
 				seq.Store(uint64(n))
-				before, _ := ix.PoolStats()
 				ops, err = runConcWindow(g, window, func(worker, i uint64) error {
 					if i%10 == 0 {
 						v := seq.Add(1)
@@ -215,7 +197,6 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 					_, _, e := ix.Get(concKey(cmix64(i) % uint64(n)))
 					return e
 				})
-				hit = concHitRate(ix, before)
 				ix.Close()
 			}
 			if err != nil {
@@ -227,7 +208,6 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 				Goroutines: g,
 				Ops:        ops,
 				OpsPerSec:  float64(ops) / secs,
-				HitRate:    hit,
 			}
 			if ops > 0 {
 				r.NsPerOp = secs * 1e9 / float64(ops)
@@ -240,11 +220,11 @@ func runConcurrent(w io.Writer, n int, window time.Duration, progress func(strin
 			}
 			rep.Results = append(rep.Results, r)
 			if rep.SingleCPU {
-				fmt.Fprintf(w, "%-8s %12d %12.0f %12.0f %7.1f%%\n",
-					r.Workload, r.Goroutines, r.OpsPerSec, r.NsPerOp, r.HitRate*100)
+				fmt.Fprintf(w, "%-8s %12d %12.0f %12.0f\n",
+					r.Workload, r.Goroutines, r.OpsPerSec, r.NsPerOp)
 			} else {
-				fmt.Fprintf(w, "%-8s %12d %12.0f %12.0f %7.1f%% %9.2fx\n",
-					r.Workload, r.Goroutines, r.OpsPerSec, r.NsPerOp, r.HitRate*100, r.SpeedupVs1)
+				fmt.Fprintf(w, "%-8s %12d %12.0f %12.0f %9.2fx\n",
+					r.Workload, r.Goroutines, r.OpsPerSec, r.NsPerOp, r.SpeedupVs1)
 			}
 		}
 	}

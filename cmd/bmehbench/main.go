@@ -34,7 +34,6 @@ func main() {
 		rangeCost = flag.Bool("rangecost", false, "run the Theorem 4 range-cost experiment")
 		ablation  = flag.Bool("ablation", false, "run the BMEH-tree node-size (φ) sweep")
 		noise     = flag.Bool("noise", false, "run the §3 degeneration experiment (noise-burst keys)")
-		cache     = flag.Bool("cache", false, "run the buffer-pool (physical I/O) ablation")
 		conc      = flag.Bool("concurrent", false, "run the parallel get/insert/mixed sweep (1/4/16 goroutines)")
 		netBench  = flag.Bool("net", false, "run the loopback network serving benchmark (16 pipelined clients)")
 		replBench = flag.Bool("repl", false, "run the replication benchmark (catch-up + availability across a primary restart)")
@@ -106,14 +105,6 @@ func main() {
 			sim.FormatAblation(os.Stdout, rows)
 			fmt.Println()
 		}
-	}
-	runCache := func() {
-		ran = true
-		progress("buffer-pool ablation...\n")
-		rows, err := sim.RunCacheAblation(sim.Uniform, 2, 8, *n, *seed)
-		fail(err)
-		sim.FormatCache(os.Stdout, rows, *n)
-		fmt.Println()
 	}
 	runConc := func() {
 		ran = true
@@ -228,7 +219,6 @@ func main() {
 		}
 		runRange()
 		runAblation()
-		runCache()
 		runNoise()
 		runConc()
 	default:
@@ -246,9 +236,6 @@ func main() {
 		}
 		if *noise {
 			runNoise()
-		}
-		if *cache {
-			runCache()
 		}
 		if *conc {
 			runConc()

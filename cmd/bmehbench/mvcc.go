@@ -143,7 +143,7 @@ func runMVCC(w io.Writer, n int, window time.Duration, progress func(string, ...
 // runMVCCCell measures one (mode, workload) combination on a fresh
 // in-memory index preloaded with n keys.
 func runMVCCCell(mode bmeh.WriteMode, workload string, n int, window time.Duration) (*MVCCResult, error) {
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 32, CacheFrames: 8192, WriteMode: mode})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 32, WriteMode: mode})
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,6 @@ func runNet(w io.Writer, n int, window time.Duration, progress func(string, ...i
 	ix, err := bmeh.Create(filepath.Join(dir, "bench.bmeh"), bmeh.Options{
 		Dims:         2,
 		PageCapacity: 32,
-		CacheFrames:  8192,
 		SyncPolicy:   bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 256},
 	})
 	if err != nil {

@@ -64,7 +64,6 @@ func runRepl(w io.Writer, n int, window time.Duration, progress func(string, ...
 	ix, err := bmeh.Create(filepath.Join(dir, "primary.bmeh"), bmeh.Options{
 		Dims:         2,
 		PageCapacity: 32,
-		CacheFrames:  8192,
 		SyncPolicy:   bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 256},
 	})
 	if err != nil {
@@ -131,7 +130,7 @@ func runRepl(w io.Writer, n int, window time.Duration, progress func(string, ...
 
 	// Catch-up: a brand-new replica seeds itself by snapshot.
 	progress("repl: replica catch-up...\n")
-	target, err := bmeh.NewReplicaTarget(filepath.Join(dir, "replica.bmeh"), 8192)
+	target, err := bmeh.NewReplicaTarget(filepath.Join(dir, "replica.bmeh"))
 	if err != nil {
 		stopPrimary(srv, done)
 		return nil, err

@@ -272,7 +272,7 @@ func openIndex(mem bool, scheme string, dims, capacity int, path string) (*bmeh.
 		return nil, fmt.Errorf("an index file path is required (or pass -mem)")
 	}
 	if _, err := os.Stat(path); err == nil {
-		return bmeh.Open(path, 256)
+		return bmeh.Open(path)
 	}
 	var s bmeh.Scheme
 	switch scheme {
@@ -285,7 +285,7 @@ func openIndex(mem bool, scheme string, dims, capacity int, path string) (*bmeh.
 	default:
 		return nil, fmt.Errorf("unknown scheme %q", scheme)
 	}
-	return bmeh.Create(path, bmeh.Options{Scheme: s, Dims: dims, PageCapacity: capacity, CacheFrames: 256})
+	return bmeh.Create(path, bmeh.Options{Scheme: s, Dims: dims, PageCapacity: capacity})
 }
 
 func parseKey(args []string, d int) (bmeh.Key, []string, error) {

@@ -50,7 +50,6 @@ func main() {
 	flag.StringVar(&opts.Dir, "dir", "", "directory for the node index files (default: a temp dir)")
 	flag.IntVar(&opts.Dims, "dims", 2, "key dimensions")
 	flag.IntVar(&opts.Capacity, "b", 32, "data page capacity")
-	flag.IntVar(&opts.Cache, "cache", 4096, "page cache frames per node")
 	flag.DurationVar(&opts.SnapMaxPinAge, "snap-max-pin-age", time.Minute, "force-release snapshot pins older than this (0 = never)")
 	verbose := flag.Bool("v", false, "stream child logs to stderr")
 	flag.Parse()
@@ -119,7 +118,6 @@ func childMain() {
 	fs.BoolVar(&cfg.Create, "create", false, "create -index if it does not exist")
 	fs.IntVar(&cfg.Dims, "dims", 2, "key dimensions (new indexes only)")
 	fs.IntVar(&cfg.Capacity, "b", 32, "data page capacity (new indexes only)")
-	fs.IntVar(&cfg.Cache, "cache", 4096, "page cache frames")
 	fs.DurationVar(&cfg.SyncInterval, "sync-interval", 200*time.Microsecond, "group-commit window")
 	fs.IntVar(&cfg.SyncBatch, "sync-batch", 64, "group-commit max batch")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget")
@@ -143,7 +141,6 @@ type launchOptions struct {
 	Dir           string
 	Dims          int
 	Capacity      int
-	Cache         int
 	SnapMaxPinAge time.Duration
 	ChildLog      io.Writer // optional live stream of child stderr
 	Logf          func(format string, args ...any)
@@ -158,9 +155,6 @@ func (o *launchOptions) defaults() {
 	}
 	if o.Capacity <= 0 {
 		o.Capacity = 32
-	}
-	if o.Cache <= 0 {
-		o.Cache = 512
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -298,9 +292,7 @@ func (c *procCluster) startChild(path, replicaOf string) (*proc, error) {
 	if err != nil {
 		return nil, err
 	}
-	args := []string{
-		"-addr", addr, "-index", path, "-cache", fmt.Sprint(c.opts.Cache),
-	}
+	args := []string{"-addr", addr, "-index", path}
 	if replicaOf == "" {
 		args = append(args,
 			"-create", "-cow",

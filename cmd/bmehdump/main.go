@@ -33,7 +33,7 @@ func main() {
 	case *demo:
 		ix, err = demoIndex()
 	case flag.NArg() == 1:
-		ix, err = bmeh.Open(flag.Arg(0), 0)
+		ix, err = bmeh.Open(flag.Arg(0))
 	default:
 		flag.Usage()
 		os.Exit(2)

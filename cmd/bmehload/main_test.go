@@ -91,7 +91,7 @@ short-row
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := bmeh.Open(path, 0)
+	re, err := bmeh.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestLoadCSVStop(t *testing.T) {
 	if err := ix2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := bmeh.Open(path2, 0)
+	re, err := bmeh.Open(path2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ short-row
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := bmeh.Open(path, 0)
+	re, err := bmeh.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestLoadBulkStop(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := bmeh.Open(path, 0)
+	re, err := bmeh.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,7 @@ func verifyFiles(t *testing.T, ppath, rpath string) {
 func primaryArgs(path string) []string {
 	return []string{
 		"-index", path, "-create",
-		"-dims", "2", "-b", "16", "-cache", "512",
+		"-dims", "2", "-b", "16",
 		"-sync-interval", "200us", "-sync-batch", "64",
 	}
 }
@@ -203,7 +203,7 @@ func TestChaosKillPrimary(t *testing.T) {
 	paddr, raddr := freePort(t), freePort(t)
 
 	primary := startProc(t, paddr, primaryArgs(ppath)...)
-	replica := startProc(t, raddr, "-index", rpath, "-replica-of", paddr, "-cache", "512")
+	replica := startProc(t, raddr, "-index", rpath, "-replica-of", paddr)
 
 	cl, err := client.DialCluster(paddr, []string{raddr}, client.Options{
 		PoolSize: 2, Retries: 5, RequestTimeout: 5 * time.Second,
@@ -310,7 +310,7 @@ func TestChaosKillReplica(t *testing.T) {
 	paddr, raddr := freePort(t), freePort(t)
 
 	primary := startProc(t, paddr, primaryArgs(ppath)...)
-	replica := startProc(t, raddr, "-index", rpath, "-replica-of", paddr, "-cache", "512")
+	replica := startProc(t, raddr, "-index", rpath, "-replica-of", paddr)
 
 	cl, err := client.Dial(paddr, client.Options{PoolSize: 2, RequestTimeout: 5 * time.Second})
 	if err != nil {
@@ -335,7 +335,7 @@ func TestChaosKillReplica(t *testing.T) {
 	awaitNodeSeq(t, raddr, nodeSeq(t, paddr))
 	replica.kill()
 	put(500, 1500) // committed while the replica is a corpse
-	replica = startProc(t, raddr, "-index", rpath, "-replica-of", paddr, "-cache", "512")
+	replica = startProc(t, raddr, "-index", rpath, "-replica-of", paddr)
 	put(1500, 2000)
 	awaitNodeSeq(t, raddr, nodeSeq(t, paddr))
 

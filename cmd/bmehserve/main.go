@@ -44,7 +44,6 @@ func main() {
 	flag.BoolVar(&cfg.Mem, "mem", false, "serve a fresh in-memory index instead of a file")
 	flag.IntVar(&cfg.Dims, "dims", 2, "key dimensions (new indexes only)")
 	flag.IntVar(&cfg.Capacity, "b", 32, "data page capacity (new indexes only)")
-	flag.IntVar(&cfg.Cache, "cache", 4096, "page cache frames (ignored by -backend mmap)")
 	flag.StringVar(&cfg.Backend, "backend", "file", "storage engine: file (pread) or mmap (zero-copy reads)")
 	flag.DurationVar(&cfg.SyncInterval, "sync-interval", 200*time.Microsecond, "group-commit window (0 = commit-in-flight coalescing only)")
 	flag.IntVar(&cfg.SyncBatch, "sync-batch", 64, "group-commit max batch (0 = unbounded)")

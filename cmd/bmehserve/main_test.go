@@ -76,7 +76,7 @@ func TestDaemonRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "served.bmeh")
 	cfg := serve.Config{
 		IndexPath: path, Create: true,
-		Dims: 2, Capacity: 16, Cache: 256,
+		Dims: 2, Capacity: 16,
 		SyncInterval: 200 * time.Microsecond, SyncBatch: 64,
 	}
 
@@ -139,7 +139,7 @@ func TestDaemonRestart(t *testing.T) {
 
 // TestDaemonMem: the -mem mode comes up empty and serves.
 func TestDaemonMem(t *testing.T) {
-	addr, sig, wait := startDaemon(t, serve.Config{Mem: true, Dims: 3, Capacity: 8, Cache: 64})
+	addr, sig, wait := startDaemon(t, serve.Config{Mem: true, Dims: 3, Capacity: 8})
 	cl, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ func stressIndex(t *testing.T, backend string) *Index {
 	opts := Options{
 		Dims:         2,
 		PageCapacity: 8,
-		CacheFrames:  128,
 		SyncPolicy:   SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 8},
 	}
 	switch backend {

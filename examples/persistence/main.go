@@ -26,7 +26,6 @@ func main() {
 	ix, err := bmeh.Create(path, bmeh.Options{
 		Dims:         2,
 		PageCapacity: 32,
-		CacheFrames:  512,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -55,7 +54,7 @@ func main() {
 	fmt.Printf("index file: %d KiB\n", info.Size()/1024)
 
 	// Phase 2: reopen and query.
-	re, err := bmeh.Open(path, 512)
+	re, err := bmeh.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}

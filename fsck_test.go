@@ -95,7 +95,7 @@ func TestFsck(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("restored index reported problems: %v", rep.Problems)
 	}
-	re, err := Open(path, 0)
+	re, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (c *Cluster) Split(i int) error {
 
 	// 2. Seed the new node as a replica and catch it up to the donor.
 	path := func() string { c.mu.Lock(); defer c.mu.Unlock(); return c.nodePath() }()
-	target, err := bmeh.NewReplicaTarget(path, c.opts.Cache)
+	target, err := bmeh.NewReplicaTarget(path)
 	if err != nil {
 		return err
 	}

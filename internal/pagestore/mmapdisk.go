@@ -102,9 +102,7 @@ func viewOf(f File) sliceView {
 // page — under the index's locking that means for as long as the caller
 // holds the read lock it read under — and the slice's *memory* stays
 // valid until the store is closed. Callers that outlive the read lock
-// must copy. The byte pool (CachedStore) deliberately does not implement
-// this: mmap-backed stores bypass the pool entirely, the OS page cache
-// is the byte cache.
+// must copy.
 type SliceReader interface {
 	// ReadSlice returns the page's current image without copying when the
 	// backend is mapped (a fresh copy otherwise). Counts one disk read.

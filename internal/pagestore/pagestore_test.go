@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -182,7 +183,7 @@ func TestFileDiskReopen(t *testing.T) {
 
 func TestOpenFileDiskRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk")
-	if err := writeFile(path, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0xAB}, 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFileDisk(path); err == nil {
@@ -236,16 +237,4 @@ func TestClosedStore(t *testing.T) {
 	if _, err := st.Alloc(KindData); err != ErrClosed {
 		t.Errorf("alloc after close: %v", err)
 	}
-}
-
-func writeFile(path string, data []byte) error {
-	f, err := createFile(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -103,20 +103,45 @@ func (d *FileDisk) parseReplicatedMeta(meta []byte, wantSeq uint64) (pageCount u
 	return pageCount, freeHead, meta[fileHeaderSize : fileHeaderSize+metaLen], nil
 }
 
-// stageReplicatedFrames stages every frame of a replicated batch and
-// returns the batch's meta-page image. The kind table grows as needed so
-// pages allocated by the batch exist before the commit.
-func (d *FileDisk) stageReplicatedFrames(frames []Frame) ([]byte, error) {
+// stageReplicatedFrames validates a replicated batch's meta page, stages
+// every other frame, and returns the header fields the meta page carries.
+// The kind table grows as needed so pages allocated by the batch exist
+// before the commit.
+//
+// The header is checked before anything is staged. Every page a batch
+// allocates travels in that batch, so the batch can grow the store by at
+// most its own frame count, and no frame may lie past the page count.
+// Without these bounds one hostile page ID or page count could grow the
+// kind table and the file to 2^32 pages.
+func (d *FileDisk) stageReplicatedFrames(seq uint64, frames []Frame) (pageCount uint32, freeHead PageID, record []byte, err error) {
 	var meta []byte
+	var maxID PageID
 	for _, fr := range frames {
+		maxID = max(maxID, fr.ID)
 		if len(fr.Data) != d.pageSize {
-			return nil, fmt.Errorf("pagestore: replicated frame for page %d has %d bytes, want %d", fr.ID, len(fr.Data), d.pageSize)
+			return 0, 0, nil, fmt.Errorf("pagestore: replicated frame for page %d has %d bytes, want %d", fr.ID, len(fr.Data), d.pageSize)
 		}
 		if fr.ID == 0 {
 			if fr.Kind != KindMeta {
-				return nil, fmt.Errorf("pagestore: replicated page 0 has kind %v: %w", fr.Kind, ErrCorrupt)
+				return 0, 0, nil, fmt.Errorf("pagestore: replicated page 0 has kind %v: %w", fr.Kind, ErrCorrupt)
 			}
 			meta = fr.Data
+		}
+	}
+	if meta == nil {
+		return 0, 0, nil, fmt.Errorf("pagestore: replicated batch carries no meta page: %w", ErrCorrupt)
+	}
+	if pageCount, freeHead, record, err = d.parseReplicatedMeta(meta, seq); err != nil {
+		return 0, 0, nil, err
+	}
+	if uint64(pageCount) > uint64(len(d.kinds))+uint64(len(frames)) {
+		return 0, 0, nil, fmt.Errorf("pagestore: replicated meta claims %d pages, store has %d and the batch %d frames: %w", pageCount, len(d.kinds), len(frames), ErrCorrupt)
+	}
+	if uint32(maxID) >= pageCount {
+		return 0, 0, nil, fmt.Errorf("pagestore: replicated frame for page %d beyond page count %d: %w", maxID, pageCount, ErrCorrupt)
+	}
+	for _, fr := range frames {
+		if fr.ID == 0 {
 			continue
 		}
 		for uint32(fr.ID) >= uint32(len(d.kinds)) {
@@ -125,10 +150,7 @@ func (d *FileDisk) stageReplicatedFrames(frames []Frame) ([]byte, error) {
 		d.kinds[fr.ID] = fr.Kind
 		d.dirty[fr.ID] = append([]byte(nil), fr.Data...)
 	}
-	if meta == nil {
-		return nil, fmt.Errorf("pagestore: replicated batch carries no meta page: %w", ErrCorrupt)
-	}
-	return meta, nil
+	return pageCount, freeHead, record, nil
 }
 
 // ApplyReplicated applies one replicated commit batch to the store. The
@@ -156,11 +178,7 @@ func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame) (bool, error) {
 	}
 	d.dirty = make(map[PageID][]byte)
 	d.metaDirty = false
-	meta, err := d.stageReplicatedFrames(frames)
-	if err != nil {
-		return false, err
-	}
-	pageCount, freeHead, record, err := d.parseReplicatedMeta(meta, seq)
+	pageCount, freeHead, record, err := d.stageReplicatedFrames(seq, frames)
 	if err != nil {
 		return false, err
 	}
@@ -194,11 +212,7 @@ func (d *FileDisk) ApplySnapshot(seq uint64, frames []Frame) error {
 	d.dirty = make(map[PageID][]byte)
 	d.metaDirty = false
 	d.kinds = d.kinds[:1]
-	meta, err := d.stageReplicatedFrames(frames)
-	if err != nil {
-		return err
-	}
-	pageCount, freeHead, record, err := d.parseReplicatedMeta(meta, seq)
+	pageCount, freeHead, record, err := d.stageReplicatedFrames(seq, frames)
 	if err != nil {
 		return err
 	}

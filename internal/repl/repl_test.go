@@ -48,9 +48,9 @@ func startPrimary(t *testing.T, dir string, hubOpts repl.HubOptions) *primary {
 		err error
 	)
 	if _, serr := os.Stat(path); serr == nil {
-		ix, err = bmeh.Open(path, 256)
+		ix, err = bmeh.Open(path)
 	} else {
-		ix, err = bmeh.Create(path, bmeh.Options{Dims: 2, CacheFrames: 256})
+		ix, err = bmeh.Create(path, bmeh.Options{Dims: 2})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func replicaOpts() repl.ReplicaOptions {
 // startReplica follows addr into dir/replica.bmeh.
 func startReplica(t *testing.T, dir, addr string) (*bmeh.ReplicaTarget, *repl.Replica) {
 	t.Helper()
-	target, err := bmeh.NewReplicaTarget(filepath.Join(dir, "replica.bmeh"), 256)
+	target, err := bmeh.NewReplicaTarget(filepath.Join(dir, "replica.bmeh"))
 	if err != nil {
 		t.Fatal(err)
 	}

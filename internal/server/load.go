@@ -246,6 +246,13 @@ func (c *conn) dispatchLoad(fr wire.Frame) {
 			c.sendStatus(fr.Op, fr.ID, wire.StatusErr, err.Error())
 			return
 		}
+		// A clustered node stages only records it may write, like BATCH.
+		// A refused chunk leaves the session's sequence where it was; the
+		// client aborts the load, so nothing from the stream commits.
+		if !c.writesAllowed(kvs) {
+			c.sendWrongShard(fr.Op, fr.ID)
+			return
+		}
 		ls := s.lookupLoad(id)
 		if ls == nil {
 			c.sendStatus(fr.Op, fr.ID, wire.StatusErr, fmt.Sprintf("unknown load session %d", id))

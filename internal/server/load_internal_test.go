@@ -13,7 +13,7 @@ import (
 
 func newMemServer(t *testing.T) *Server {
 	t.Helper()
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, CacheFrames: 128})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

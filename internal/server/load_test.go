@@ -10,6 +10,7 @@ import (
 
 	"bmeh"
 	"bmeh/client"
+	"bmeh/internal/cluster"
 	"bmeh/internal/server"
 	"bmeh/internal/wire"
 )
@@ -271,5 +272,72 @@ func TestLoadReadOnly(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Load(loadIter(10), client.LoadOptions{}); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("want ErrReadOnly, got %v", err)
+	}
+}
+
+// TestLoadRefusesForeignKeys checks a clustered node refuses a LOAD chunk
+// holding a record it may not write — outside its shard range, or inside
+// a write fence — with WRONG_SHARD, and that nothing from the stream
+// commits.
+func TestLoadRefusesForeignKeys(t *testing.T) {
+	// Shard 0 of a uniform 2-shard map owns the prefixes below 2^63: for
+	// d=2, w=32 those are the keys whose first component is below 2^31.
+	owned := func(i uint64) bmeh.Key { return bmeh.Key{i, i ^ 0x9e3779b9} }
+	cases := []struct {
+		name    string
+		foreign bmeh.Key
+		fence   bool
+	}{
+		{"out-of-range", bmeh.Key{1 << 31, 7}, false},
+		{"fenced", owned(5000), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := newIndex(t, "mem")
+			defer ix.Close()
+			shard := cluster.NewShardState(2, 32)
+			m, err := cluster.Uniform([]cluster.Node{{Primary: "a:1"}, {Primary: "b:1"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := shard.Adopt(0, m); !ok {
+				t.Fatal("shard map not adopted")
+			}
+			if tc.fence {
+				p := cluster.Prefix(tc.foreign, 2, 32)
+				shard.SetFence(p, p+1)
+			}
+			_, addr := startServer(t, ix, server.Config{Shard: shard})
+			cl, err := client.Dial(addr, client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			// The foreign record sits mid-stream, after whole owned chunks
+			// have already been staged.
+			const n = 1000
+			i := uint64(0)
+			next := func() (bmeh.KV, bool, error) {
+				if i >= n {
+					return bmeh.KV{}, false, nil
+				}
+				i++
+				if i == 600 {
+					return bmeh.KV{Key: tc.foreign, Value: 1}, true, nil
+				}
+				return bmeh.KV{Key: owned(i), Value: i}, true, nil
+			}
+			_, err = cl.Load(next, client.LoadOptions{ChunkSize: 128})
+			if !errors.Is(err, client.ErrWrongShard) {
+				t.Fatalf("load with a foreign key: want ErrWrongShard, got %v", err)
+			}
+			if _, ok, err := ix.Get(tc.foreign); err != nil || ok {
+				t.Fatalf("foreign key after refused load: ok=%v err=%v", ok, err)
+			}
+			if ix.Len() != 0 {
+				t.Fatalf("refused load left %d records", ix.Len())
+			}
+		})
 	}
 }

@@ -567,14 +567,11 @@ func (c *conn) dispatch(fr wire.Frame) {
 			c.sendStatus(fr.Op, fr.ID, wire.StatusErr, err.Error())
 			return
 		}
-		// A batch is all-or-nothing: if any key is out of range (or
-		// fenced), refuse the whole request so the router re-splits it
-		// against a fresh map instead of half-applying.
-		for _, kv := range kvs {
-			if !c.srv.shard.WriteAllowed(kv.Key) {
-				c.sendWrongShard(fr.Op, fr.ID)
-				return
-			}
+		// Refuse the whole batch on any foreign or fenced key so the
+		// router re-splits it against a fresh map instead of half-applying.
+		if !c.writesAllowed(kvs) {
+			c.sendWrongShard(fr.Op, fr.ID)
+			return
 		}
 		batch := make([]bmeh.KV, len(kvs))
 		for i, kv := range kvs {

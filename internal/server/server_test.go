@@ -21,9 +21,8 @@ import (
 func newIndex(t *testing.T, backend string) *bmeh.Index {
 	t.Helper()
 	opts := bmeh.Options{
-		Dims:        2,
-		CacheFrames: 512,
-		SyncPolicy:  bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
+		Dims:       2,
+		SyncPolicy: bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
 	}
 	switch backend {
 	case "mem":
@@ -305,9 +304,8 @@ func TestDrainAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.bmeh")
 	opts := bmeh.Options{
-		Dims:        2,
-		CacheFrames: 256,
-		SyncPolicy:  bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
+		Dims:       2,
+		SyncPolicy: bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
 	}
 	ix, err := bmeh.Create(path, opts)
 	if err != nil {
@@ -348,7 +346,7 @@ func TestDrainAndRestart(t *testing.T) {
 	}
 
 	// Restart: clean recovery, all data present, serving again.
-	ix2, err := bmeh.Open(path, 256)
+	ix2, err := bmeh.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,19 @@ func (c *conn) sendWrongShard(op wire.Op, id uint64) {
 	c.send(op, id, wire.AppendWrongShardResp(nil, c.srv.shard.Epoch()))
 }
 
+// writesAllowed reports whether every record of a multi-record write
+// (BATCH, LOAD_CHUNK) may land here: each key must be owned and outside
+// any write fence. Such writes are all-or-nothing, so one foreign key
+// refuses the whole request before any of it is applied or staged.
+func (c *conn) writesAllowed(kvs []wire.KV) bool {
+	for _, kv := range kvs {
+		if !c.srv.shard.WriteAllowed(kv.Key) {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *conn) dispatchShard(fr wire.Frame) {
 	switch fr.Op {
 	case wire.OpShardMap:

@@ -35,7 +35,7 @@ func TestRecoveryFsckWithDecodedCache(t *testing.T) {
 	}
 	// Abandon without Close: the "process died" shape of an unclean stop.
 
-	re, err := Open(path, 0)
+	re, err := Open(path)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}

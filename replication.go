@@ -48,8 +48,8 @@ func (ix *Index) SetReplPublisher(fn func(seq uint64, frames []pagestore.Frame))
 
 // ReplSnapshot streams a consistent full-store image to fn and returns
 // the commit sequence and page count it belongs to. The index is synced
-// first — decoded nodes, cached frames and the header all reach the store
-// — so the image is exactly what a fresh Open of the file would see. The
+// first — deferred page writes and the header both reach the store — so
+// the image is exactly what a fresh Open of the file would see. The
 // index is locked exclusively for the duration: the snapshot is a
 // consistent cut of the commit stream.
 func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, data []byte) error) (seq uint64, pageCount uint32, err error) {
@@ -75,9 +75,6 @@ func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, 
 		snap, err := tr.Snapshot()
 		if err == nil {
 			err = tr.FlushDirtyPages()
-		}
-		if err == nil && ix.cached != nil {
-			err = ix.cached.Flush()
 		}
 		if err == nil {
 			var rec []byte
@@ -106,9 +103,8 @@ func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, 
 }
 
 // ApplyReplSegment applies one replicated commit batch to a replica
-// index: the batch commits through the local WAL, cached frames for the
-// rewritten pages are invalidated, and the in-memory view is rebuilt from
-// the replicated header. Duplicate batches are skipped; a gap fails with
+// index: the batch commits through the local WAL and the in-memory view
+// (decoded caches included) is rebuilt from the replicated header. Duplicate batches are skipped; a gap fails with
 // pagestore.ErrReplicaGap and the caller must resynchronize.
 func (ix *Index) ApplyReplSegment(seq uint64, frames []pagestore.Frame) error {
 	ix.mu.Lock()
@@ -123,7 +119,6 @@ func (ix *Index) ApplyReplSegment(seq uint64, frames []pagestore.Frame) error {
 	if err != nil || !applied {
 		return err
 	}
-	ix.dropCachedLocked(frames)
 	return ix.reloadLocked()
 }
 
@@ -144,21 +139,7 @@ func (ix *Index) ApplyReplSnapshot(seq uint64, pageSize int, pageCount uint32, f
 	if err := ix.file.ApplySnapshot(seq, frames); err != nil {
 		return err
 	}
-	ix.dropCachedLocked(frames)
 	return ix.reloadLocked()
-}
-
-// dropCachedLocked invalidates cached frames for every page a replicated
-// batch rewrote; the next read faults the committed image back in.
-func (ix *Index) dropCachedLocked(frames []pagestore.Frame) {
-	if ix.cached == nil {
-		return
-	}
-	for _, fr := range frames {
-		if fr.ID != pagestore.NilPage {
-			ix.cached.Drop(fr.ID)
-		}
-	}
 }
 
 // reloadLocked rebuilds the in-memory scheme implementation from the
@@ -196,8 +177,7 @@ func (ix *Index) reloadLocked() error {
 // and the file is created from that first snapshot. Ready is closed once
 // an index is available to serve reads.
 type ReplicaTarget struct {
-	path  string
-	cache int
+	path string
 
 	mu    sync.Mutex
 	ix    *Index
@@ -205,13 +185,12 @@ type ReplicaTarget struct {
 }
 
 // NewReplicaTarget opens (or defers creation of) the replica's local
-// index at path. cacheFrames is passed to Open as in Options.CacheFrames.
-// An existing file is opened through normal crash recovery, so a replica
+// index at path. An existing file is opened through normal crash recovery, so a replica
 // killed mid-apply resumes from its last durable batch.
-func NewReplicaTarget(path string, cacheFrames int) (*ReplicaTarget, error) {
-	t := &ReplicaTarget{path: path, cache: cacheFrames, ready: make(chan struct{})}
+func NewReplicaTarget(path string) (*ReplicaTarget, error) {
+	t := &ReplicaTarget{path: path, ready: make(chan struct{})}
 	if _, err := os.Stat(path); err == nil {
-		ix, err := Open(path, cacheFrames)
+		ix, err := Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("bmeh: opening replica store (delete it to reseed): %w", err)
 		}
@@ -275,7 +254,7 @@ func (t *ReplicaTarget) ApplyReplSnapshot(seq uint64, pageSize int, pageCount ui
 	if err := fd.Close(); err != nil {
 		return err
 	}
-	ix, err := Open(t.path, t.cache)
+	ix, err := Open(t.path)
 	if err != nil {
 		return fmt.Errorf("bmeh: opening freshly seeded replica store: %w", err)
 	}

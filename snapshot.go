@@ -113,17 +113,12 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		return 0, fmt.Errorf("bmeh: snapshot backup requires a file-backed index")
 	}
 	// The snapshot's pages are immutable, but their bytes may still sit in
-	// the decoded-page write-back queue or the frame pool above the store;
-	// push both down so the store-level stream reads current images. Both
-	// flushes are concurrency-safe, and a pinned page cannot be re-dirtied
-	// after the flush (committed pages are never rewritten under COW).
+	// the decoded-page write-back queue above the store; push them down so
+	// the store-level stream reads current images. The flush is
+	// concurrency-safe, and a pinned page cannot be re-dirtied after it
+	// (committed pages are never rewritten under COW).
 	if tr, ok := ix.idx.(*core.Tree); ok {
 		if err := tr.FlushDirtyPages(); err != nil {
-			return 0, err
-		}
-	}
-	if ix.cached != nil {
-		if err := ix.cached.Flush(); err != nil {
 			return 0, err
 		}
 	}
