@@ -1,11 +1,10 @@
 package bmeh
 
 // Concurrent benchmarks for the scalable read path: BenchmarkParallelGet /
-// Insert / Mixed run the public Index under b.RunParallel at 1, 4 and 16
-// goroutines (GOMAXPROCS is pinned to the goroutine count for the duration
-// of each sub-benchmark, so the counts are exact). Get runs on warm
-// decoded caches, where the only shared state a probe touches is the
-// index's RLock and a decoded-cache shard's RLock — the configuration the
+// Insert / Mixed run the public Index under b.RunParallel at 1, 2, 4 and
+// 16 goroutines (GOMAXPROCS is pinned to the goroutine count for the
+// duration of each sub-benchmark, so the counts are exact). Get runs on
+// warm decoded caches, whose hits take no lock — the configuration the
 // paper's ≤3-accesses-per-probe claim cares about under load.
 //
 // cmd/bmehbench -concurrent runs the same workloads standalone and can
@@ -19,7 +18,7 @@ import (
 )
 
 // benchGoroutineCounts are the parallelism levels the suite sweeps.
-var benchGoroutineCounts = []int{1, 4, 16}
+var benchGoroutineCounts = []int{1, 2, 4, 16}
 
 // mix64 is splitmix64's finalizer: a cheap bijection spreading sequential
 // indices over the key space.
@@ -44,6 +43,21 @@ func newWarmBenchIndex(b *testing.B, n int) *Index {
 	if err != nil {
 		b.Fatal(err)
 	}
+	warmBenchIndex(b, ix, n)
+	return ix
+}
+
+// newWarmFileBenchIndex is newWarmBenchIndex on a file-backed index.
+func newWarmFileBenchIndex(b *testing.B, n int) *Index {
+	b.Helper()
+	ix := newFileBenchIndex(b)
+	warmBenchIndex(b, ix, n)
+	return ix
+}
+
+// warmBenchIndex loads n keys into ix and touches each once.
+func warmBenchIndex(b *testing.B, ix *Index, n int) {
+	b.Helper()
 	for i := 0; i < n; i++ {
 		if err := ix.Insert(benchKey(uint64(i)), uint64(i)); err != nil {
 			b.Fatal(err)
@@ -54,7 +68,6 @@ func newWarmBenchIndex(b *testing.B, n int) *Index {
 			b.Fatalf("warmup key %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	return ix
 }
 
 // runAtGoroutines runs body under b.RunParallel with g client goroutines.
@@ -79,24 +92,34 @@ func runAtGoroutines(b *testing.B, g int, body func(pb *testing.PB, worker uint6
 	})
 }
 
-// BenchmarkParallelGet measures exact-match lookups on a warm cache.
+// BenchmarkParallelGet measures exact-match lookups on a warm cache. The
+// in-memory store accounts every read (the §4 access counters, a shared
+// write per hit); the file-backed store has no read accounter, so it shows
+// how far the read path itself scales with goroutines.
 func BenchmarkParallelGet(b *testing.B) {
 	const n = 20000
-	ix := newWarmBenchIndex(b, n)
-	defer ix.Close()
-	for _, g := range benchGoroutineCounts {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			runAtGoroutines(b, g, func(pb *testing.PB, worker uint64) {
-				i := mix64(worker) // de-correlate workers' probe sequences
-				for pb.Next() {
-					i++
-					k := benchKey(mix64(i) % n)
-					if _, ok, err := ix.Get(k); err != nil || !ok {
-						b.Errorf("get: ok=%v err=%v", ok, err)
-						return
-					}
-				}
-			})
+	for _, store := range []struct {
+		name string
+		open func(*testing.B, int) *Index
+	}{{"mem", newWarmBenchIndex}, {"file", newWarmFileBenchIndex}} {
+		b.Run("store="+store.name, func(b *testing.B) {
+			ix := store.open(b, n)
+			defer ix.Close()
+			for _, g := range benchGoroutineCounts {
+				b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+					runAtGoroutines(b, g, func(pb *testing.PB, worker uint64) {
+						i := mix64(worker) // de-correlate workers' probe sequences
+						for pb.Next() {
+							i++
+							k := benchKey(mix64(i) % n)
+							if _, ok, err := ix.Get(k); err != nil || !ok {
+								b.Errorf("get: ok=%v err=%v", ok, err)
+								return
+							}
+						}
+					})
+				})
+			}
 		})
 	}
 }

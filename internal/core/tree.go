@@ -75,8 +75,8 @@ type Tree struct {
 	n      atomic.Int64 // stored records
 	// nc and pc are the decoded-object caches above the byte store; see
 	// nodecache.go for the coherence discipline.
-	nc *objCache[*dirnode.Node]
-	pc *objCache[*datapage.Page]
+	nc *objCache[dirnode.Node]
+	pc *objCache[datapage.Page]
 	// acct counts a logical read on a decoded-cache hit when the store
 	// supports it (nil otherwise; see pagestore.ReadAccounter).
 	acct func(pagestore.PageID) error
@@ -155,8 +155,8 @@ type descentCtx struct {
 // initRuntime wires the decoded caches, accounting hook, latch table and
 // scratch pool; called by New and Load once prm and st are set.
 func (t *Tree) initRuntime() {
-	t.nc = newObjCache[*dirnode.Node](defaultNodeCacheCap)
-	t.pc = newObjCache[*datapage.Page](defaultPageCacheCap)
+	t.nc = newObjCache[dirnode.Node](defaultNodeCacheCap)
+	t.pc = newObjCache[datapage.Page](defaultPageCacheCap)
 	t.latches.init()
 	t.pinned = make(map[uint64]int)
 	t.snapPins = make(map[*TreeSnapshot]time.Time)
