@@ -271,7 +271,7 @@ func BenchmarkNodeCodec(b *testing.B) {
 		n.Double(1)
 	}
 	for q := range n.Entries {
-		n.Entries[q] = dirnode.Entry{Ptr: pagestore.PageID(q + 1), H: []int{3, 3}, M: q % 2}
+		n.Entries[q] = dirnode.Entry{Ptr: pagestore.PageID(q + 1), H: [dirnode.MaxDims]uint8{3, 3}, M: uint8(q % 2)}
 	}
 	buf := make([]byte, dirnode.PageBytes(2, 6))
 	b.ReportAllocs()
@@ -291,10 +291,7 @@ func BenchmarkPageCodec(b *testing.B) {
 	p := datapage.New(2)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 32; i++ {
-		p.Insert(datapage.Record{
-			Key:   bitkey.Vector{bitkey.Component(rng.Uint32()), bitkey.Component(rng.Uint32())},
-			Value: rng.Uint64(),
-		})
+		p.Insert(bitkey.Vector{bitkey.Component(rng.Uint32()), bitkey.Component(rng.Uint32())}, rng.Uint64())
 	}
 	buf := make([]byte, datapage.Size(2, 32))
 	b.ReportAllocs()

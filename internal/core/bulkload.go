@@ -127,8 +127,8 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 		if err != nil {
 			return stats, err
 		}
-		for _, rec := range p.Records() {
-			if err := bs.add(rec.Key, eseq, rec.Value); err != nil {
+		for i := 0; i < p.Len(); i++ {
+			if err := bs.add(p.Key(i), eseq, p.Value(i)); err != nil {
 				return stats, err
 			}
 			eseq++
@@ -307,9 +307,9 @@ func (v *runView) records(lo, hi int64) ([]uint64, error) {
 // bulkSlot is one region of the node under construction: the records in
 // [its range], pinned at depth h (per dimension) with index prefix pre.
 type bulkSlot struct {
-	h    []int
+	h    [dirnode.MaxDims]uint8
 	pre  []uint64
-	m    int
+	m    uint8
 	ptr  pagestore.PageID
 	node bool
 	task func() (pagestore.PageID, bool, error) // deferred child build (root level only)
@@ -470,10 +470,14 @@ func (bb *bulkBuilder) runTasks(slots []bulkSlot) error {
 func (bb *bulkBuilder) fill(v *runView, lo, hi int64, s, sEnd, level int, h []int, pre []uint64, deferTasks bool, slots *[]bulkSlot) error {
 	d := bb.t.prm.Dims
 	appendSlot := func(ptr pagestore.PageID, isNode bool, task func() (pagestore.PageID, bool, error)) {
+		var hv [dirnode.MaxDims]uint8
+		for j, hj := range h {
+			hv[j] = uint8(hj)
+		}
 		*slots = append(*slots, bulkSlot{
-			h:    append([]int(nil), h...),
+			h:    hv,
 			pre:  append([]uint64(nil), pre...),
-			m:    (s + d - 1) % d,
+			m:    uint8((s + d - 1) % d),
 			ptr:  ptr,
 			node: isNode,
 			task: task,
@@ -553,7 +557,7 @@ func (bb *bulkBuilder) pageOrChain(v *runView, lo, hi int64, s, level int) (page
 	n := dirnode.New(d, level)
 	n.Entries[0].Ptr = child
 	n.Entries[0].IsNode = isNode
-	n.Entries[0].M = (s + d - 1) % d
+	n.Entries[0].M = uint8((s + d - 1) % d)
 	id, err := bb.t.nodes.Alloc()
 	if err != nil {
 		return 0, false, err
@@ -567,38 +571,21 @@ func (bb *bulkBuilder) pageOrChain(v *runView, lo, hi int64, s, level int) (page
 }
 
 // emitPage decodes records [lo,hi) from the run and writes them as one
-// data page. The run is in z-order; the page keeps records in
-// lexicographic key order, so each record is placed by sorted insert.
+// data page. The run is in z-order and deduplicated; the page keeps
+// records in lexicographic key order, so each record is placed by sorted
+// insert.
 func (bb *bulkBuilder) emitPage(v *runView, lo, hi int64) (pagestore.PageID, error) {
 	recs, err := v.records(lo, hi)
 	if err != nil {
 		return 0, err
 	}
-	d := bb.t.prm.Dims
 	stride := bb.z.stride
-	n := int(hi - lo)
-	p := datapage.New(d)
-	flat := make(bitkey.Vector, n*d)
-	page := make([]datapage.Record, n)
-	for i := 0; i < n; i++ {
+	p := datapage.New(bb.t.prm.Dims)
+	key := make(bitkey.Vector, bb.t.prm.Dims)
+	for i := 0; i < int(hi-lo); i++ {
 		rec := recs[i*stride : (i+1)*stride]
-		key := flat[i*d : (i+1)*d]
 		bb.z.decode(rec[:bb.z.k], key)
-		page[i] = datapage.Record{Key: key, Value: rec[bb.z.k+1]}
-	}
-	// Insertion sort into lexicographic key order (the run is in z-order;
-	// a page holds at most b records, so quadratic is the fast choice).
-	for i := 1; i < n; i++ {
-		r := page[i]
-		j := i - 1
-		for j >= 0 && r.Key.Less(page[j].Key) {
-			page[j+1] = page[j]
-			j--
-		}
-		page[j+1] = r
-	}
-	for i := range page {
-		p.InsertAt(i, page[i])
+		p.Insert(key, rec[bb.z.k+1])
 	}
 	id, err := bb.t.pages.Alloc()
 	if err != nil {
@@ -618,35 +605,23 @@ func (bb *bulkBuilder) emitPage(v *runView, lo, hi int64) (pagestore.PageID, err
 func (bb *bulkBuilder) makeNode(level int, slots []bulkSlot) (pagestore.PageID, error) {
 	d := bb.t.prm.Dims
 	n := dirnode.New(d, level)
-	H := make([]int, d)
 	for _, sl := range slots {
 		for j := 0; j < d; j++ {
-			if sl.h[j] > H[j] {
-				H[j] = sl.h[j]
-			}
+			n.Depths[j] = max(n.Depths[j], sl.h[j])
 		}
 	}
-	sum := 0
-	for _, hj := range H {
-		sum += hj
-	}
-	n.Depths = H
-	n.Entries = make([]dirnode.Entry, 1<<sum)
+	H := n.Depths
+	n.Entries = make([]dirnode.Entry, 1<<n.SumDepths())
 	idx := make([]uint64, d)
 	for _, sl := range slots {
 		var place func(j int)
 		place = func(j int) {
 			if j == d {
 				q := n.Index(idx)
-				n.Entries[q] = dirnode.Entry{
-					Ptr:    sl.ptr,
-					IsNode: sl.node,
-					H:      append([]int(nil), sl.h...),
-					M:      sl.m,
-				}
+				n.Entries[q] = dirnode.Entry{Ptr: sl.ptr, IsNode: sl.node, H: sl.h, M: sl.m}
 				return
 			}
-			fb := uint(H[j] - sl.h[j])
+			fb := H[j] - sl.h[j]
 			for low := uint64(0); low < 1<<fb; low++ {
 				idx[j] = sl.pre[j]<<fb | low
 				place(j + 1)

@@ -92,8 +92,8 @@ func (t *Tree) tryDeleteFast(k bitkey.Vector) (done, deleted bool, err error) {
 		if e.IsNode {
 			stack = append(stack, frame{id: id, node: node, strip: append([]int(nil), strip...)})
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			ls.rlock(e.Ptr, node.Level-1)
 			child, err := t.readNode(e.Ptr)
@@ -144,14 +144,14 @@ func (t *Tree) wouldRestructure(stack []frame, leafID pagestore.PageID, leaf *di
 	// Would mergePages act on its first iteration? (If the first iteration
 	// does nothing, the loop exits with no action.)
 	e := leaf.Entries[q]
-	m := e.M
+	m := int(e.M)
 	if e.H[m] > 0 {
 		idx := leaf.Tuple(q)
 		bidx := append([]uint64(nil), idx...)
 		bidx[m] ^= uint64(1) << uint(leaf.Depths[m]-e.H[m])
 		bq := leaf.Index(bidx)
 		be := leaf.Entries[bq]
-		if !be.IsNode && sameInts(be.H, e.H) && be.Ptr != e.Ptr {
+		if !be.IsNode && be.H == e.H && be.Ptr != e.Ptr {
 			if be.Ptr == pagestore.NilPage {
 				return true, nil // the region would coarsen over the empty buddy
 			}
@@ -238,7 +238,7 @@ func (t *Tree) wouldMergeSiblings(parent *dirnode.Node, childID pagestore.PageID
 		return true, nil // snapshot raced past us: escalate conservatively
 	}
 	e := parent.Entries[q]
-	m := e.M
+	m := int(e.M)
 	if e.H[m] == 0 {
 		return false, nil
 	}
@@ -247,7 +247,7 @@ func (t *Tree) wouldMergeSiblings(parent *dirnode.Node, childID pagestore.PageID
 	bidx[m] ^= uint64(1) << uint(parent.Depths[m]-e.H[m])
 	bq := parent.Index(bidx)
 	be := parent.Entries[bq]
-	if be.Ptr == childID || !sameInts(be.H, e.H) {
+	if be.Ptr == childID || be.H != e.H {
 		return false, nil
 	}
 	var sib *dirnode.Node
@@ -293,8 +293,8 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		if e.IsNode {
 			stack = append(stack, frame{id: id, node: node, strip: append([]int(nil), strip...)})
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			id = e.Ptr
 			var err error
@@ -319,7 +319,7 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		var frees []pagestore.PageID
 		if p.Len() == 0 {
 			pid := e.Ptr
-			node = cloneNode(node)
+			node = node.Clone()
 			dirty = true
 			for i := range node.Entries {
 				en := &node.Entries[i]
@@ -356,7 +356,7 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		}
 		if t.canShrink(node) {
 			if !dirty {
-				node = cloneNode(node)
+				node = node.Clone()
 				dirty = true
 			}
 			t.shrinkNode(node)
@@ -410,7 +410,7 @@ func (t *Tree) gcEmptyNodes() error {
 		// The sweep may shrink and rewrite any collected node — including
 		// the root, which optimistic searches read latch-free — so every
 		// collected object is a private copy; commits go through writeNode.
-		rootCopy := cloneNode(r.node)
+		rootCopy := r.node.Clone()
 		nodes := map[pagestore.PageID]*dirnode.Node{r.pageID: rootCopy}
 		var collect func(n *dirnode.Node) error
 		collect = func(n *dirnode.Node) error {
@@ -538,7 +538,7 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 	changed := false
 	mutable := func() {
 		if !changed {
-			node = cloneNode(node)
+			node = node.Clone()
 			changed = true
 		}
 	}
@@ -548,7 +548,7 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 		if e.Ptr == pagestore.NilPage || e.IsNode {
 			return node, changed, frees, nil
 		}
-		m := e.M
+		m := int(e.M)
 		if e.H[m] == 0 {
 			return node, changed, frees, nil
 		}
@@ -557,21 +557,21 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 		bidx[m] ^= uint64(1) << uint(node.Depths[m]-e.H[m])
 		bq := node.Index(bidx)
 		be := node.Entries[bq]
-		if be.IsNode || !sameInts(be.H, e.H) {
+		if be.IsNode || be.H != e.H {
 			return node, changed, frees, nil
 		}
-		mergedH := append([]int(nil), e.H...)
+		mergedH := e.H
 		mergedH[m]--
-		prevM := (m + t.prm.Dims - 1) % t.prm.Dims
+		prevM := uint8((m + t.prm.Dims - 1) % t.prm.Dims)
 		switch {
 		case e.Ptr == be.Ptr:
 			return node, changed, frees, nil
 		case be.Ptr == pagestore.NilPage:
 			mutable()
-			coarsenRegion(node, q, mergedH, e.Ptr, false, prevM)
+			node.SetRegion(q, dirnode.Entry{Ptr: e.Ptr, IsNode: false, H: mergedH, M: prevM})
 		case e.Ptr == pagestore.NilPage:
 			mutable()
-			coarsenRegion(node, bq, mergedH, be.Ptr, false, prevM)
+			node.SetRegion(bq, dirnode.Entry{Ptr: be.Ptr, IsNode: false, H: mergedH, M: prevM})
 			q = bq
 		default:
 			// Merge mutates both pages (the source's records are drained),
@@ -608,34 +608,7 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 			}
 			frees = append(frees, e.Ptr, be.Ptr)
 			mutable()
-			coarsenRegion(node, q, mergedH, nid, false, prevM)
-		}
-	}
-}
-
-// inRegion reports whether element i lies in the region of element q at
-// local depths h.
-func inRegion(node *dirnode.Node, i, q int, h []int) bool {
-	ti, tq := node.Tuple(i), node.Tuple(q)
-	for j := 0; j < node.Dims(); j++ {
-		shift := uint(node.Depths[j] - h[j])
-		if ti[j]>>shift != tq[j]>>shift {
-			return false
-		}
-	}
-	return true
-}
-
-// coarsenRegion rewrites the region of element q at (coarser) local depths
-// h to point to ptr.
-func coarsenRegion(node *dirnode.Node, q int, h []int, ptr pagestore.PageID, isNode bool, m int) {
-	for i := range node.Entries {
-		if inRegion(node, i, q, h) {
-			en := &node.Entries[i]
-			en.Ptr = ptr
-			en.IsNode = isNode
-			copy(en.H, h)
-			en.M = m
+			node.SetRegion(q, dirnode.Entry{Ptr: nid, IsNode: false, H: mergedH, M: prevM})
 		}
 	}
 }
@@ -687,39 +660,12 @@ func (t *Tree) shrinkNode(node *dirnode.Node) {
 			if needed {
 				continue
 			}
-			undouble(node, m)
+			node.Halve(m)
 			shrunk = true
 		}
 		if !shrunk {
 			return
 		}
-	}
-}
-
-// undouble halves node along dimension m; every element pair differing only
-// in the last bit of dimension m must be equivalent (guaranteed when no
-// live element has h_m = H_m; nil elements are normalized).
-func undouble(node *dirnode.Node, m int) {
-	old := node.Entries
-	oldDepths := append([]int(nil), node.Depths...)
-	oldIndex := func(idx []uint64) int {
-		q := uint64(0)
-		for j := 0; j < node.Dims(); j++ {
-			q = q<<uint(oldDepths[j]) | idx[j]
-		}
-		return int(q)
-	}
-	node.Depths[m]--
-	node.Entries = make([]dirnode.Entry, len(old)/2)
-	for q := range node.Entries {
-		idx := node.Tuple(q)
-		src := append([]uint64(nil), idx...)
-		src[m] <<= 1
-		e := dirnode.CloneEntry(old[oldIndex(src)])
-		if e.H[m] > node.Depths[m] {
-			e.H[m] = node.Depths[m] // nil regions clamp to the new depth
-		}
-		node.Entries[q] = e
 	}
 }
 
@@ -761,7 +707,7 @@ func (t *Tree) mergeUpward(stack []frame, childID pagestore.PageID, child *dirno
 		}
 		if t.canShrink(parent) {
 			if !dirty {
-				parent = cloneNode(parent)
+				parent = parent.Clone()
 				dirty = true
 			}
 			t.shrinkNode(parent)
@@ -811,7 +757,7 @@ func (t *Tree) pruneEmptyChild(parent *dirnode.Node, parentID, childID pagestore
 	if !found {
 		return nil, pagestore.NilPage, false, nil
 	}
-	parent = cloneNode(parent)
+	parent = parent.Clone()
 	for i := range parent.Entries {
 		e := &parent.Entries[i]
 		if e.IsNode && e.Ptr == childID {
@@ -850,7 +796,7 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 		return nil, nil, fmt.Errorf("bmeh: node %d not referenced by its parent", childID)
 	}
 	e := parent.Entries[q]
-	m := e.M
+	m := int(e.M)
 	if e.H[m] == 0 {
 		return nil, nil, nil
 	}
@@ -859,7 +805,7 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 	bidx[m] ^= uint64(1) << uint(parent.Depths[m]-e.H[m])
 	bq := parent.Index(bidx)
 	be := parent.Entries[bq]
-	if be.Ptr == childID || !sameInts(be.H, e.H) {
+	if be.Ptr == childID || be.H != e.H {
 		return nil, nil, nil
 	}
 	var sibID pagestore.PageID
@@ -914,10 +860,10 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 	if sibID != pagestore.NilPage {
 		t.nNodes.Add(-1) // two nodes replace one
 	}
-	mergedH := append([]int(nil), e.H...)
+	mergedH := e.H
 	mergedH[m]--
-	parent = cloneNode(parent)
-	coarsenRegion(parent, q, mergedH, newID, true, (m+t.prm.Dims-1)%t.prm.Dims)
+	parent = parent.Clone()
+	parent.SetRegion(q, dirnode.Entry{Ptr: newID, IsNode: true, H: mergedH, M: uint8((m + t.prm.Dims - 1) % t.prm.Dims)})
 	return parent, frees, nil
 }
 
@@ -928,7 +874,7 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 // the content of side's element (low, *), with h_m incremented unless the
 // element's pointer spans both siblings at h_m = 0.
 func mergeNodes(a, b *dirnode.Node, m int) (*dirnode.Node, bool) {
-	if a.Level != b.Level || !sameInts(a.Depths, b.Depths) || a.Depths[m] == 0 {
+	if a.Level != b.Level || a.Depths != b.Depths || a.Depths[m] == 0 {
 		return nil, false
 	}
 	for _, n := range []*dirnode.Node{a, b} {
@@ -941,7 +887,7 @@ func mergeNodes(a, b *dirnode.Node, m int) (*dirnode.Node, bool) {
 			tw[m] |= 1
 			twin := n.Entries[n.Index(tw)]
 			e := n.Entries[i]
-			if twin.Ptr != e.Ptr || twin.IsNode != e.IsNode || !sameInts(twin.H, e.H) {
+			if twin.Ptr != e.Ptr || twin.IsNode != e.IsNode || twin.H != e.H {
 				return nil, false
 			}
 		}
@@ -967,7 +913,7 @@ func mergeNodes(a, b *dirnode.Node, m int) (*dirnode.Node, bool) {
 		}
 		sidx := append([]uint64(nil), idx...)
 		sidx[m] = low << 1
-		e := dirnode.CloneEntry(src.Entries[src.Index(sidx)])
+		e := src.Entries[src.Index(sidx)]
 		switch {
 		case e.Ptr != pagestore.NilPage && e.H[m] == 0 && present(a, e.Ptr) && present(b, e.Ptr):
 			// The region spans both siblings: keep h_m = 0.

@@ -1,19 +1,22 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"bmeh/internal/bitkey"
 	"bmeh/internal/dirnode"
+	"bmeh/internal/latch"
 	"bmeh/internal/pagestore"
 )
 
 // Range implements algorithm PRG_Search (§4.4): it calls fn for every
 // record whose key lies in the axis-aligned box [lo_j, hi_j] for every
-// dimension j. fn returning false stops the scan. Each directory node and
-// data page is visited at most once, so the cost is O(ℓ·n_R) accesses
-// where n_R is the number of rectangular cells covering the box
-// (Theorem 4).
+// dimension j. fn returning false stops the scan, and the key it is
+// passed is valid only until it returns (callers that keep keys copy
+// them). Each directory node and data page is visited at most once, so
+// the cost is O(ℓ·n_R) accesses where n_R is the number of rectangular
+// cells covering the box (Theorem 4).
 //
 // Partial-match and partial-range queries are expressed by passing the
 // dimension's full range ("000…" to "111…") for unconstrained attributes,
@@ -55,13 +58,13 @@ func (t *Tree) rangeFrom(root *dirnode.Node, lo, hi bitkey.Vector, latchless boo
 	err := r.node(root, lo.Clone(), hi.Clone())
 	clear(r.seenPages)
 	clear(r.seenNodes)
-	*r = rangeScan{seenPages: r.seenPages, seenNodes: r.seenNodes}
+	*r = rangeScan{seenPages: r.seenPages, seenNodes: r.seenNodes, keys: r.keys, vals: r.vals}
 	rangeScanPool.Put(r)
 	return err
 }
 
-// rangeScanPool recycles scan state (chiefly the visited-set maps) across
-// Range calls.
+// rangeScanPool recycles scan state (chiefly the visited-set maps and the
+// per-page record scratch) across Range calls.
 var rangeScanPool = sync.Pool{New: func() interface{} {
 	return &rangeScan{
 		seenPages: make(map[pagestore.PageID]bool),
@@ -92,6 +95,10 @@ type rangeScan struct {
 	width     int
 	stopped   bool
 	latchless bool // snapshot scan: pages immutable, skip page latches
+	// keys and vals hold one page's matching records (keys flat, d
+	// components each) between the latched copy and the callbacks.
+	keys []bitkey.Component
+	vals []uint64
 }
 
 // visitKey builds the dedup key for a child descent.
@@ -123,8 +130,8 @@ func (r *rangeScan) node(n *dirnode.Node, vlo, vhi bitkey.Vector) error {
 	lu := make([]uint64, 3*d)
 	L, U, idx := lu[:d], lu[d:2*d], lu[2*d:]
 	for j := 0; j < d; j++ {
-		L[j] = bitkey.G(vlo[j], n.Depths[j], r.width)
-		U[j] = bitkey.G(vhi[j], n.Depths[j], r.width)
+		L[j] = bitkey.G(vlo[j], int(n.Depths[j]), r.width)
+		U[j] = bitkey.G(vhi[j], int(n.Depths[j]), r.width)
 	}
 	copy(idx, L)
 	for {
@@ -179,13 +186,13 @@ func (r *rangeScan) descend(n *dirnode.Node, e *dirnode.Entry, idx []uint64, vlo
 	for j := 0; j < d; j++ {
 		// The region's h_j-bit prefix in this node's frame.
 		regionPrefix := idx[j] >> uint(n.Depths[j]-e.H[j])
-		if bitkey.G(vlo[j], e.H[j], r.width) == regionPrefix {
-			clo[j] = bitkey.LeftShift(vlo[j], e.H[j], r.width)
+		if bitkey.G(vlo[j], int(e.H[j]), r.width) == regionPrefix {
+			clo[j] = bitkey.LeftShift(vlo[j], int(e.H[j]), r.width)
 		} else {
 			clo[j] = 0 // query lower bound lies below this region
 		}
-		if bitkey.G(vhi[j], e.H[j], r.width) == regionPrefix {
-			chi[j] = bitkey.LeftShift(vhi[j], e.H[j], r.width)
+		if bitkey.G(vhi[j], int(e.H[j]), r.width) == regionPrefix {
+			chi[j] = bitkey.LeftShift(vhi[j], int(e.H[j]), r.width)
 		} else {
 			chi[j] = full // query upper bound lies above this region
 		}
@@ -203,26 +210,40 @@ func (r *rangeScan) descend(n *dirnode.Node, e *dirnode.Entry, idx []uint64, vlo
 }
 
 // page scans one data page, filtering by the original box. The page is the
-// shared cached object, read under its shared latch (the insert fast path
-// mutates cached pages in place under the exclusive latch); record keys
-// are handed to fn read-only, and fn runs with the latch held — another
-// reason it must not mutate the tree.
+// shared cached object, which the insert fast path mutates in place under
+// its exclusive latch, so the matching records are copied into the scan's
+// scratch under the shared latch and fn runs after it is released: fn
+// never sees a key that can still change, and a callback that reads the
+// index (even the same page) cannot self-deadlock on the latch. fn's key
+// is valid only until it returns.
 func (r *rangeScan) page(id pagestore.PageID) error {
+	d := len(r.lo)
+	var l *latch.Latch
 	if !r.latchless {
-		l := r.t.latches.of(id)
+		l = r.t.latches.of(id)
 		l.RLock(0)
-		defer l.RUnlock()
 	}
 	p, err := r.t.readPage(id)
+	if err == nil {
+		r.keys = slices.Grow(r.keys[:0], p.Len()*d)
+		r.vals = slices.Grow(r.vals[:0], p.Len())
+		for i := 0; i < p.Len(); i++ {
+			if k := p.Key(i); inBox(k, r.lo, r.hi) {
+				r.keys = append(r.keys, k...)
+				r.vals = append(r.vals, p.Value(i))
+			}
+		}
+	}
+	if l != nil {
+		l.RUnlock()
+	}
 	if err != nil {
 		return err
 	}
-	for _, rec := range p.Records() {
-		if inBox(rec.Key, r.lo, r.hi) {
-			if !r.fn(rec.Key, rec.Value) {
-				r.stopped = true
-				return nil
-			}
+	for i, v := range r.vals {
+		if !r.fn(r.keys[i*d:(i+1)*d:(i+1)*d], v) {
+			r.stopped = true
+			return nil
 		}
 	}
 	return nil

@@ -306,7 +306,7 @@ func (t *Tree) readNodeMut(id pagestore.PageID) (*dirnode.Node, error) {
 		id = sh.target(id)
 	}
 	if r := t.rc.load(); id == r.pageID {
-		return cloneNode(r.node), nil
+		return r.node.Clone(), nil
 	}
 	if n, ok := t.nc.get(id); ok {
 		if t.acct != nil {
@@ -314,13 +314,10 @@ func (t *Tree) readNodeMut(id pagestore.PageID) (*dirnode.Node, error) {
 				return nil, err
 			}
 		}
-		return cloneNode(n), nil
+		return n.Clone(), nil
 	}
 	return t.nodes.Read(id)
 }
-
-// cloneNode deep-copies a directory node.
-func cloneNode(n *dirnode.Node) *dirnode.Node { return n.Clone() }
 
 // writeNode stores a node (one counted write). The write is the commit
 // point: the pinned in-memory root is replaced only after the page write
@@ -444,7 +441,7 @@ func (t *Tree) freeNode(id pagestore.PageID) error {
 // caller's scratch slice (len ≥ Dims) so the hot path allocates nothing.
 func (t *Tree) nodeIndexInto(n *dirnode.Node, v bitkey.Vector, idx []uint64) int {
 	for j := 0; j < t.prm.Dims; j++ {
-		idx[j] = bitkey.G(v[j], n.Depths[j], t.prm.Width)
+		idx[j] = bitkey.G(v[j], int(n.Depths[j]), t.prm.Width)
 	}
 	return n.Index(idx)
 }
@@ -519,7 +516,7 @@ func (t *Tree) searchOnce(k bitkey.Vector) (uint64, bool, error) {
 			return val, ok, nil
 		}
 		for j := 0; j < t.prm.Dims; j++ {
-			v[j] = bitkey.LeftShift(v[j], e.H[j], t.prm.Width)
+			v[j] = bitkey.LeftShift(v[j], int(e.H[j]), t.prm.Width)
 		}
 		var err error
 		node, err = t.readNode(e.Ptr)

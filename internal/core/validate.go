@@ -53,7 +53,7 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("node %d: %w", id, err)
 			}
 			for j := 0; j < t.prm.Dims; j++ {
-				if n.Depths[j] > t.prm.Xi[j] {
+				if int(n.Depths[j]) > t.prm.Xi[j] {
 					return fmt.Errorf("node %d: H_%d = %d exceeds ξ = %d", id, j+1, n.Depths[j], t.prm.Xi[j])
 				}
 			}
@@ -82,11 +82,11 @@ func (t *Tree) Validate() error {
 			cp := prefix.Clone()
 			cs := append([]int(nil), strip...)
 			for j := 0; j < t.prm.Dims; j++ {
-				hb := idx[j] >> uint(n.Depths[j]-e.H[j])
+				hb := idx[j] >> (n.Depths[j] - e.H[j])
 				if e.H[j] > 0 {
-					cp[j] |= bitkey.Component(hb) << uint(t.prm.Width-cs[j]-e.H[j])
+					cp[j] |= bitkey.Component(hb) << uint(t.prm.Width-cs[j]-int(e.H[j]))
 				}
-				cs[j] += e.H[j]
+				cs[j] += int(e.H[j])
 			}
 			if e.IsNode {
 				if n.Level == 1 {
@@ -145,16 +145,17 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("page %d: %w", pid, err)
 		}
 		total += p.Len()
-		for _, rec := range p.Records() {
+		for i := 0; i < p.Len(); i++ {
+			k := p.Key(i)
 			ok := false
 			for _, c := range cons {
-				if c.matches(rec.Key, t.prm.Width) {
+				if c.matches(k, t.prm.Width) {
 					ok = true
 					break
 				}
 			}
 			if !ok {
-				return fmt.Errorf("page %d: record %v matches none of its %d directory paths", pid, rec.Key, len(cons))
+				return fmt.Errorf("page %d: record %v matches none of its %d directory paths", pid, k, len(cons))
 			}
 		}
 	}

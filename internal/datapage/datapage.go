@@ -13,16 +13,11 @@ package datapage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bmeh/internal/bitkey"
 	"bmeh/internal/latch"
 )
-
-// Record is one stored record.
-type Record struct {
-	Key   bitkey.Vector
-	Value uint64
-}
 
 // recordSize returns the encoded size of one record for dimensionality d.
 func recordSize(d int) int { return d*8 + 8 }
@@ -30,7 +25,11 @@ func recordSize(d int) int { return d*8 + 8 }
 // Size returns the page bytes needed for capacity records of dimensionality d.
 func Size(d, capacity int) int { return 2 + capacity*recordSize(d) }
 
-// Page is the decoded form of a data page.
+// Page is the decoded form of a data page. Its records live in one flat,
+// pointer-free array laid out like the page image: record i occupies words
+// [i·(d+1), (i+1)·(d+1)), its d key components followed by its value. A
+// decode is therefore one allocation for the array, and the garbage
+// collector never scans a cached page's contents.
 type Page struct {
 	// Latch protects the page's identity on the concurrent write path; it
 	// is attached by the cache layer and carried by Clone so every
@@ -38,82 +37,86 @@ type Page struct {
 	// Ignored by Encode/Decode.
 	Latch *latch.Latch
 	d     int
-	recs  []Record
+	n     int // records held: len(recs) / (d+1), kept to spare a division
+	recs  []bitkey.Component
 }
 
 // New returns an empty decoded page for dimensionality d.
 func New(d int) *Page { return &Page{d: d} }
 
-// Decode parses a page image. The records slice is freshly allocated.
+// Decode parses a page image. The record array is freshly allocated.
 func Decode(buf []byte, d int) (*Page, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("datapage: short page (%d bytes)", len(buf))
 	}
 	n := int(binary.BigEndian.Uint16(buf[0:2]))
-	rs := recordSize(d)
-	if 2+n*rs > len(buf) {
+	if 2+n*recordSize(d) > len(buf) {
 		return nil, fmt.Errorf("datapage: count %d overflows %d-byte page", n, len(buf))
 	}
-	p := &Page{d: d, recs: make([]Record, n)}
-	off := 2
-	for i := 0; i < n; i++ {
-		key := make(bitkey.Vector, d)
-		for j := 0; j < d; j++ {
-			key[j] = bitkey.Component(binary.BigEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		p.recs[i] = Record{Key: key, Value: binary.BigEndian.Uint64(buf[off:])}
-		off += 8
+	p := &Page{d: d, n: n, recs: make([]bitkey.Component, n*(d+1))}
+	for i := range p.recs {
+		p.recs[i] = bitkey.Component(binary.BigEndian.Uint64(buf[2+8*i:]))
 	}
 	return p, nil
 }
 
 // Encode writes the page image into buf, which must be at least
-// Size(d, len(records)) bytes. It returns the number of bytes written.
+// Size(d, Len()) bytes. It returns the number of bytes written.
 func (p *Page) Encode(buf []byte) (int, error) {
-	need := Size(p.d, len(p.recs))
+	need := Size(p.d, p.Len())
 	if len(buf) < need {
 		return 0, fmt.Errorf("datapage: buffer %d bytes < needed %d", len(buf), need)
 	}
-	binary.BigEndian.PutUint16(buf[0:2], uint16(len(p.recs)))
-	off := 2
-	for _, r := range p.recs {
-		if len(r.Key) != p.d {
-			return 0, fmt.Errorf("datapage: record key dimensionality %d != %d", len(r.Key), p.d)
-		}
-		for j := 0; j < p.d; j++ {
-			binary.BigEndian.PutUint64(buf[off:], uint64(r.Key[j]))
-			off += 8
-		}
-		binary.BigEndian.PutUint64(buf[off:], r.Value)
-		off += 8
+	binary.BigEndian.PutUint16(buf[0:2], uint16(p.Len()))
+	for i, w := range p.recs {
+		binary.BigEndian.PutUint64(buf[2+8*i:], uint64(w))
 	}
-	return off, nil
+	return need, nil
 }
 
-// Clone returns a copy of p with its own record slice. Key vectors are
-// shared: no Page operation mutates a key in place (records are only
-// inserted, removed, or moved between pages), so a shallow copy is enough
-// for copy-on-write callers.
+// Clone returns a copy of p with its own record array.
 func (p *Page) Clone() *Page {
-	return &Page{Latch: p.Latch, d: p.d, recs: append([]Record(nil), p.recs...)}
+	return &Page{Latch: p.Latch, d: p.d, n: p.n, recs: append([]bitkey.Component(nil), p.recs...)}
 }
 
 // Len returns the number of records in the page.
-func (p *Page) Len() int { return len(p.recs) }
+func (p *Page) Len() int { return p.n }
 
-// Records returns the page's records (shared slice; do not mutate).
-func (p *Page) Records() []Record { return p.recs }
+// Key returns the key of record i as a view into the page: valid, and
+// unchanged, only until the page is next mutated, and never to be
+// mutated by the caller. Its capacity is capped, so appending to it
+// cannot overwrite the page.
+func (p *Page) Key(i int) bitkey.Vector {
+	o := i * (p.d + 1)
+	return p.recs[o : o+p.d : o+p.d]
+}
+
+// Value returns the value of record i.
+func (p *Page) Value(i int) uint64 { return uint64(p.recs[i*(p.d+1)+p.d]) }
 
 // Find returns the index of key and whether it is present. The search is
-// hand-rolled three-way binary search: it sits on the per-insert hot path,
-// where sort.Search's closure calls and its extra equality probe at the
-// end are measurable.
+// a hand-rolled three-way binary search that compares keys in place: it
+// sits on the per-insert and per-get hot path, where sort.Search's
+// closure calls and its extra equality probe at the end are measurable.
+// Keys in one page nearly always differ in their first component, so each
+// probe decides on that alone and compares the rest only on a tie.
 func (p *Page) Find(key bitkey.Vector) (int, bool) {
-	lo, hi := 0, len(p.recs)
+	s := p.d + 1
+	key = key[:p.d]
+	k0 := key[0]
+	lo, hi := 0, p.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch p.recs[mid].Key.Compare(key) {
+		rec := p.recs[mid*s : mid*s+len(key)]
+		if rc := rec[0]; rc != k0 {
+			if rc < k0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+			continue
+		}
+		switch bitkey.Vector(rec[1:]).Compare(key[1:]) {
 		case -1:
 			lo = mid + 1
 		case 0:
@@ -128,41 +131,46 @@ func (p *Page) Find(key bitkey.Vector) (int, bool) {
 // Get returns the value stored under key.
 func (p *Page) Get(key bitkey.Vector) (uint64, bool) {
 	if i, ok := p.Find(key); ok {
-		return p.recs[i].Value, true
+		return p.Value(i), true
 	}
 	return 0, false
 }
 
-// Insert adds a record in sorted position. It returns false if the key is
-// already present (no change). Capacity is not enforced here; callers check
-// Len() against b and split first.
-func (p *Page) Insert(r Record) bool {
-	i, ok := p.Find(r.Key)
+// Insert adds the record (k, v) in sorted position, copying k. It returns
+// false if the key is already present (no change). Capacity is not
+// enforced here; callers check Len() against b and split first.
+func (p *Page) Insert(k bitkey.Vector, v uint64) bool {
+	i, ok := p.Find(k)
 	if ok {
 		return false
 	}
-	p.InsertAt(i, r)
+	p.InsertAt(i, k, v)
 	return true
 }
 
-// InsertAt inserts r at position i, which the caller obtained from a Find
-// that reported the key absent. It skips Insert's own search, for callers
-// that already probed the page; the records stay sorted only if i is that
-// insertion point.
-func (p *Page) InsertAt(i int, r Record) {
-	p.recs = append(p.recs, Record{})
-	copy(p.recs[i+1:], p.recs[i:])
-	p.recs[i] = r
+// InsertAt inserts the record (k, v) at position i, copying k. The caller
+// obtained i from a Find that reported the key absent; InsertAt skips
+// Insert's own search for callers that already probed the page, and the
+// records stay sorted only if i is that insertion point.
+func (p *Page) InsertAt(i int, k bitkey.Vector, v uint64) {
+	s := p.d + 1
+	n := len(p.recs)
+	p.recs = slices.Grow(p.recs, s)[:n+s]
+	o := i * s
+	copy(p.recs[o+s:], p.recs[o:n])
+	copy(p.recs[o:o+p.d], k[:p.d])
+	p.recs[o+p.d] = bitkey.Component(v)
+	p.n++
 }
 
 // Set overwrites the value of an existing key, or inserts it. It reports
 // whether the key was newly inserted.
-func (p *Page) Set(r Record) bool {
-	if i, ok := p.Find(r.Key); ok {
-		p.recs[i].Value = r.Value
+func (p *Page) Set(k bitkey.Vector, v uint64) bool {
+	if i, ok := p.Find(k); ok {
+		p.recs[i*(p.d+1)+p.d] = bitkey.Component(v)
 		return false
 	}
-	return p.Insert(r)
+	return p.Insert(k, v)
 }
 
 // Delete removes key and reports whether it was present.
@@ -171,7 +179,9 @@ func (p *Page) Delete(key bitkey.Vector) bool {
 	if !ok {
 		return false
 	}
-	p.recs = append(p.recs[:i], p.recs[i+1:]...)
+	s := p.d + 1
+	p.recs = append(p.recs[:i*s], p.recs[(i+1)*s:]...)
+	p.n--
 	return true
 }
 
@@ -182,36 +192,40 @@ func (p *Page) Delete(key bitkey.Vector) bool {
 // the new local depth of dimension dim, counted in the page's own (possibly
 // shifted) coordinate frame.
 func (p *Page) PartitionByBit(dim, bitPos, width int) *Page {
+	s := p.d + 1
 	ones := &Page{d: p.d}
 	zeros := p.recs[:0]
-	for _, r := range p.recs {
-		if bitkey.Bit(r.Key[dim], bitPos, width) == 1 {
-			ones.recs = append(ones.recs, r)
+	for o := 0; o < len(p.recs); o += s {
+		rec := p.recs[o : o+s]
+		if bitkey.Bit(rec[dim], bitPos, width) == 1 {
+			ones.recs = append(ones.recs, rec...)
+			ones.n++
 		} else {
-			zeros = append(zeros, r)
+			zeros = append(zeros, rec...)
 		}
 	}
 	p.recs = zeros
+	p.n -= ones.n
 	return ones
 }
 
 // Merge moves all records of q into p (used by deletion's page merging).
 // Records are assumed disjoint; duplicates are rejected with an error.
 func (p *Page) Merge(q *Page) error {
-	for _, r := range q.recs {
-		if !p.Insert(r) {
-			return fmt.Errorf("datapage: merge found duplicate key %v", r.Key)
+	for i := 0; i < q.Len(); i++ {
+		if !p.Insert(q.Key(i), q.Value(i)) {
+			return fmt.Errorf("datapage: merge found duplicate key %v", q.Key(i))
 		}
 	}
-	q.recs = nil
+	q.recs, q.n = nil, 0
 	return nil
 }
 
 // SortCheck verifies the sorted-and-unique invariant; used by tests and the
 // integrity checker.
 func (p *Page) SortCheck() error {
-	for i := 1; i < len(p.recs); i++ {
-		if !p.recs[i-1].Key.Less(p.recs[i].Key) {
+	for i := 1; i < p.Len(); i++ {
+		if !p.Key(i - 1).Less(p.Key(i)) {
 			return fmt.Errorf("datapage: records %d,%d out of order", i-1, i)
 		}
 	}

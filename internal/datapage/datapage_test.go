@@ -21,11 +21,11 @@ func TestInsertKeepsSortedUnique(t *testing.T) {
 	p := New(2)
 	keys := [][]uint64{{5, 1}, {1, 9}, {3, 3}, {1, 2}, {5, 0}, {2, 2}}
 	for i, kv := range keys {
-		if !p.Insert(Record{Key: key(2, kv...), Value: uint64(i)}) {
+		if !p.Insert(key(2, kv...), uint64(i)) {
 			t.Fatalf("insert %d rejected", i)
 		}
 	}
-	if p.Insert(Record{Key: key(2, 3, 3), Value: 99}) {
+	if p.Insert(key(2, 3, 3), 99) {
 		t.Fatal("duplicate key accepted")
 	}
 	if err := p.SortCheck(); err != nil {
@@ -45,10 +45,10 @@ func TestInsertKeepsSortedUnique(t *testing.T) {
 
 func TestSetOverwrites(t *testing.T) {
 	p := New(1)
-	if !p.Set(Record{Key: key(1, 4), Value: 10}) {
+	if !p.Set(key(1, 4), 10) {
 		t.Fatal("Set of new key should report insertion")
 	}
-	if p.Set(Record{Key: key(1, 4), Value: 20}) {
+	if p.Set(key(1, 4), 20) {
 		t.Fatal("Set of existing key should not report insertion")
 	}
 	if v, _ := p.Get(key(1, 4)); v != 20 {
@@ -62,7 +62,7 @@ func TestSetOverwrites(t *testing.T) {
 func TestDelete(t *testing.T) {
 	p := New(1)
 	for i := uint64(0); i < 10; i++ {
-		p.Insert(Record{Key: key(1, i), Value: i})
+		p.Insert(key(1, i), i)
 	}
 	if !p.Delete(key(1, 4)) || p.Delete(key(1, 4)) {
 		t.Fatal("delete semantics broken")
@@ -86,7 +86,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			for j := range k {
 				k[j] = bitkey.Component(rng.Uint64())
 			}
-			p.Insert(Record{Key: k, Value: rng.Uint64()})
+			p.Insert(k, rng.Uint64())
 		}
 		buf := make([]byte, Size(d, n)+7)
 		w, err := p.Encode(buf)
@@ -103,9 +103,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if q.Len() != p.Len() {
 			return false
 		}
-		for i, r := range p.Records() {
-			s := q.Records()[i]
-			if !r.Key.Equal(s.Key) || r.Value != s.Value {
+		for i := 0; i < p.Len(); i++ {
+			if !p.Key(i).Equal(q.Key(i)) || p.Value(i) != q.Value(i) {
 				return false
 			}
 		}
@@ -129,7 +128,7 @@ func TestDecodeRejectsCorruptCount(t *testing.T) {
 
 func TestEncodeBufferTooSmall(t *testing.T) {
 	p := New(2)
-	p.Insert(Record{Key: key(2, 1, 2), Value: 3})
+	p.Insert(key(2, 1, 2), 3)
 	if _, err := p.Encode(make([]byte, 5)); err == nil {
 		t.Fatal("Encode accepted short buffer")
 	}
@@ -139,20 +138,20 @@ func TestPartitionByBit(t *testing.T) {
 	p := New(1)
 	// Width 4: keys 0000, 0100, 1000, 1100 — bit 2 partitions {0,8} / {4,12}.
 	for _, v := range []uint64{0, 4, 8, 12} {
-		p.Insert(Record{Key: key(1, v), Value: v})
+		p.Insert(key(1, v), v)
 	}
 	ones := p.PartitionByBit(0, 2, 4)
 	if p.Len() != 2 || ones.Len() != 2 {
 		t.Fatalf("partition sizes %d/%d, want 2/2", p.Len(), ones.Len())
 	}
-	for _, r := range p.Records() {
-		if bitkey.Bit(r.Key[0], 2, 4) != 0 {
-			t.Fatalf("zeros page contains %v", r.Key)
+	for i := 0; i < p.Len(); i++ {
+		if bitkey.Bit(p.Key(i)[0], 2, 4) != 0 {
+			t.Fatalf("zeros page contains %v", p.Key(i))
 		}
 	}
-	for _, r := range ones.Records() {
-		if bitkey.Bit(r.Key[0], 2, 4) != 1 {
-			t.Fatalf("ones page contains %v", r.Key)
+	for i := 0; i < ones.Len(); i++ {
+		if bitkey.Bit(ones.Key(i)[0], 2, 4) != 1 {
+			t.Fatalf("ones page contains %v", ones.Key(i))
 		}
 	}
 	if err := p.SortCheck(); err != nil {
@@ -175,7 +174,7 @@ func TestPartitionPreservesAll(t *testing.T) {
 			for j := range k {
 				k[j] = bitkey.Component(rng.Uint64() & 0xffffffff)
 			}
-			p.Insert(Record{Key: k, Value: uint64(i)})
+			p.Insert(k, uint64(i))
 		}
 		before := p.Len()
 		ones := p.PartitionByBit(m, bitPos, 32)
@@ -189,10 +188,10 @@ func TestPartitionPreservesAll(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a, b := New(1), New(1)
 	for _, v := range []uint64{1, 3, 5} {
-		a.Insert(Record{Key: key(1, v), Value: v})
+		a.Insert(key(1, v), v)
 	}
 	for _, v := range []uint64{2, 4} {
-		b.Insert(Record{Key: key(1, v), Value: v})
+		b.Insert(key(1, v), v)
 	}
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
@@ -204,7 +203,7 @@ func TestMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := New(1)
-	dup.Insert(Record{Key: key(1, 3), Value: 9})
+	dup.Insert(key(1, 3), 9)
 	if err := a.Merge(dup); err == nil {
 		t.Fatal("merge accepted duplicate")
 	}
@@ -219,7 +218,7 @@ func TestIORoundTrip(t *testing.T) {
 	}
 	p := New(2)
 	for i := uint64(0); i < 10; i++ {
-		p.Insert(Record{Key: key(2, i, i*i), Value: i})
+		p.Insert(key(2, i, i*i), i)
 	}
 	if err := io.Write(id, p); err != nil {
 		t.Fatal(err)
@@ -231,8 +230,8 @@ func TestIORoundTrip(t *testing.T) {
 	if q.Len() != 10 {
 		t.Fatalf("read back %d records", q.Len())
 	}
-	for i, r := range p.Records() {
-		if !q.Records()[i].Key.Equal(r.Key) || q.Records()[i].Value != r.Value {
+	for i := 0; i < p.Len(); i++ {
+		if !q.Key(i).Equal(p.Key(i)) || q.Value(i) != p.Value(i) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
@@ -252,12 +251,65 @@ func TestSizeAccounting(t *testing.T) {
 			for i := 0; i < b; i++ {
 				k := make(bitkey.Vector, d)
 				k[0] = bitkey.Component(i)
-				p.Insert(Record{Key: k, Value: uint64(i)})
+				p.Insert(k, uint64(i))
 			}
 			buf := make([]byte, Size(d, b))
 			if _, err := p.Encode(buf); err != nil {
 				t.Errorf("d=%d b=%d: %v", d, b, err)
 			}
 		}
+	}
+}
+
+// TestInsertCopiesKey pins the ownership rule: the page keeps its own copy
+// of an inserted key, so the caller may reuse its slice.
+func TestInsertCopiesKey(t *testing.T) {
+	p := New(2)
+	k := key(2, 7, 8)
+	p.Insert(k, 1)
+	k[0], k[1] = 0, 0
+	if v, ok := p.Get(key(2, 7, 8)); !ok || v != 1 {
+		t.Fatalf("Get after mutating the inserted slice = %d, %v", v, ok)
+	}
+	if kv := p.Key(0); cap(kv) != 2 {
+		t.Fatalf("Key view capacity %d, want 2 (capped)", cap(kv))
+	}
+}
+
+func fullPage(d, n int) *Page {
+	p := New(d)
+	for i := 0; i < n; i++ {
+		p.Insert(key(d, uint64(i*7919), uint64(i)), uint64(i))
+	}
+	return p
+}
+
+func TestDecodeAllocs(t *testing.T) {
+	p := fullPage(2, 22)
+	buf := make([]byte, Size(2, 22))
+	if _, err := p.Encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(buf, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Decode of a 22-record page: %.1f allocations, want ≤ 2", allocs)
+	}
+}
+
+func TestCloneAllocs(t *testing.T) {
+	p := fullPage(2, 22)
+	allocs := testing.AllocsPerRun(100, func() { _ = p.Clone() })
+	if allocs > 3 {
+		t.Fatalf("Clone of a 22-record page: %.1f allocations, want ≤ 3", allocs)
+	}
+	c := p.Clone()
+	c.Delete(p.Key(0))
+	c.Insert(key(2, 1<<40, 0), 9)
+	if p.Len() != 22 || p.Key(0)[0] != 0 {
+		t.Fatal("mutating a clone changed the original")
 	}
 }

@@ -1,6 +1,7 @@
 package datapage
 
 import (
+	"bytes"
 	"testing"
 
 	"bmeh/internal/bitkey"
@@ -8,7 +9,8 @@ import (
 
 // FuzzDecode hardens the data-page codec against arbitrary page images:
 // Decode must either return an error or a structurally sound page — never
-// panic — and valid pages must round-trip.
+// panic — and every decoded page must re-encode to exactly the bytes it
+// was decoded from, so the in-memory layout cannot drift from the format.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid encodings of a few shapes.
 	for _, d := range []int{1, 2, 3} {
@@ -16,7 +18,7 @@ func FuzzDecode(f *testing.F) {
 		for i := 0; i < 5; i++ {
 			k := make(bitkey.Vector, d)
 			k[0] = bitkey.Component(i * 1000)
-			p.Insert(Record{Key: k, Value: uint64(i)})
+			p.Insert(k, uint64(i))
 		}
 		buf := make([]byte, Size(d, 8))
 		if _, err := p.Encode(buf); err != nil {
@@ -39,6 +41,9 @@ func FuzzDecode(f *testing.F) {
 		buf := make([]byte, Size(d, p.Len()))
 		if _, err := p.Encode(buf); err != nil {
 			t.Fatalf("decoded page does not re-encode: %v", err)
+		}
+		if !bytes.Equal(buf, data[:len(buf)]) {
+			t.Fatalf("re-encoded image differs from its source:\n got %x\nwant %x", buf, data[:len(buf)])
 		}
 		q, err := Decode(buf, d)
 		if err != nil || q.Len() != p.Len() {

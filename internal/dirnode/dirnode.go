@@ -34,42 +34,37 @@ import (
 // data page. PageIDs therefore must stay below 2^31.
 const nodeFlag uint32 = 1 << 31
 
-// Entry is one directory element.
+// MaxDims bounds the dimensionality a node supports; it equals
+// extarray.MaxDims (the package's tests assert it). Fixing it lets an
+// entry carry its local depths inline, so a decoded node holds no
+// per-element pointers.
+const MaxDims = 8
+
+// Entry is one directory element. It is a plain value: copying an Entry
+// copies everything, and a slice of entries holds no pointers for the
+// garbage collector to scan.
 type Entry struct {
 	// Ptr is the page the element points to; NilPage for an empty region.
 	Ptr pagestore.PageID
 	// IsNode reports whether Ptr refers to a directory node (true) or a
 	// data page (false). Meaningless when Ptr is nil.
 	IsNode bool
-	// H holds the element's local depths h_j, one per dimension.
-	H []int
+	// H holds the element's local depths h_j, one per dimension; slots at
+	// and beyond the node's dimensionality stay zero, so two entries'
+	// depths compare with ==.
+	H [MaxDims]uint8
 	// M is the 0-based dimension along which the element's region was last
 	// split; the next split uses the cyclically following dimension.
-	M int
+	M uint8
 }
 
-// CloneEntry returns a deep copy of e.
-func CloneEntry(e Entry) Entry {
-	c := e
-	c.H = append([]int(nil), e.H...)
-	return c
-}
-
-// Clone deep-copies the node: mutating the copy (its depths, entries, or
-// any entry's local-depth slice) never affects the original. Used by
-// mutating descents to take a private copy of a shared cached node.
+// Clone copies the node: mutating the copy (its depths or entries) never
+// affects the original. Used by mutating descents to take a private copy
+// of a shared cached node.
 func (n *Node) Clone() *Node {
-	c := &Node{
-		Level:   n.Level,
-		Depths:  append([]int(nil), n.Depths...),
-		Entries: make([]Entry, len(n.Entries)),
-		Latch:   n.Latch, // the latch follows the page identity, not the copy
-		d:       n.d,
-	}
-	for i := range n.Entries {
-		c.Entries[i] = CloneEntry(n.Entries[i])
-	}
-	return c
+	c := *n // the latch follows the page identity, not the copy
+	c.Entries = append([]Entry(nil), n.Entries...)
+	return &c
 }
 
 // EntrySize returns the encoded size of one element for dimensionality d.
@@ -89,8 +84,9 @@ type Node struct {
 	// Level is the node's height: 1 for leaf directory nodes (whose data
 	// pointers refer to data pages), increasing toward the root.
 	Level int
-	// Depths holds the node's global depths H_j.
-	Depths []int
+	// Depths holds the node's global depths H_j; slots at and beyond Dims()
+	// stay zero.
+	Depths [MaxDims]uint8
 	// Entries is the dense row-major element array, len = 2^{ΣDepths}.
 	Entries []Entry
 	// Latch is the latch protecting this node's page identity, attached by
@@ -105,10 +101,10 @@ type Node struct {
 
 // New returns a single-element node (all depths zero) of the given level.
 func New(d, level int) *Node {
-	n := &Node{Level: level, Depths: make([]int, d), d: d}
-	n.Entries = make([]Entry, 1)
-	n.Entries[0] = Entry{H: make([]int, d), M: d - 1}
-	return n
+	if d < 1 || d > MaxDims {
+		panic(fmt.Sprintf("dirnode: dimensionality %d out of range 1..%d", d, MaxDims))
+	}
+	return &Node{Level: level, Entries: []Entry{{M: uint8(d - 1)}}, d: d}
 }
 
 // Dims returns the dimensionality.
@@ -120,8 +116,8 @@ func (n *Node) Size() int { return len(n.Entries) }
 // SumDepths returns ΣH_j.
 func (n *Node) SumDepths() int {
 	s := 0
-	for _, h := range n.Depths {
-		s += h
+	for _, h := range n.Depths[:n.d] {
+		s += int(h)
 	}
 	return s
 }
@@ -160,21 +156,61 @@ func (n *Node) At(idx []uint64) *Entry { return &n.Entries[n.Index(idx)] }
 // rewritten; the node still fits its page by construction (callers enforce
 // H_m < ξ_m before doubling).
 func (n *Node) Double(m int) {
+	// Row-major positions split into the bits of the dimensions before m
+	// (hi), of m itself, and of those after it (lo). Doubling appends one
+	// bit to m's field; the source element drops it again.
+	low := 0
+	for j := m + 1; j < n.d; j++ {
+		low += int(n.Depths[j])
+	}
 	old := n.Entries
-	oldDepths := append([]int(nil), n.Depths...)
+	hm := int(n.Depths[m])
 	n.Depths[m]++
 	n.Entries = make([]Entry, len(old)*2)
+	loMask := 1<<low - 1
 	for q := range n.Entries {
-		idx := n.Tuple(q)
-		src := append([]uint64(nil), idx...)
-		src[m] >>= 1
-		// Row-major position of src under the old depths.
-		sq := uint64(0)
-		for j := 0; j < n.d; j++ {
-			sq = sq<<uint(oldDepths[j]) | src[j]
-		}
-		n.Entries[q] = CloneEntry(old[sq])
+		mid := q >> low & (1<<(hm+1) - 1)
+		hi := q >> (low + hm + 1)
+		n.Entries[q] = old[hi<<(low+hm)|mid>>1<<low|q&loMask]
 	}
+}
+
+// Halve is the inverse of Double: it halves the node along dimension m
+// (H_m ≥ 1), keeping of every element pair that differs only in the last
+// bit of its dimension-m index the one with that bit 0. Callers ensure the
+// pairs are equivalent; local depths h_m above the new H_m (possible only
+// on nil regions) are clamped to it.
+func (n *Node) Halve(m int) {
+	low := 0
+	for j := m + 1; j < n.d; j++ {
+		low += int(n.Depths[j])
+	}
+	old := n.Entries
+	n.Depths[m]--
+	hm := int(n.Depths[m])
+	n.Entries = make([]Entry, len(old)/2)
+	loMask := 1<<low - 1
+	for q := range n.Entries {
+		mid := q >> low & (1<<hm - 1)
+		hi := q >> (low + hm)
+		e := old[hi<<(low+hm+1)|mid<<1<<low|q&loMask]
+		e.H[m] = min(e.H[m], n.Depths[m])
+		n.Entries[q] = e
+	}
+}
+
+// regionMask returns the mask that keeps, of a row-major element
+// position, the top h_j bits of each dimension's H_j-bit field: two
+// elements lie in one region at local depths h exactly when their masked
+// positions are equal.
+func (n *Node) regionMask(h *[MaxDims]uint8) int {
+	mask, off := 0, 0
+	for j := n.d - 1; j >= 0; j-- {
+		H, hj := int(n.Depths[j]), int(h[j])
+		mask |= (1<<hj - 1) << (H - hj) << off
+		off += H
+	}
+	return mask
 }
 
 // Buddies returns the positions of every element sharing the element at
@@ -182,24 +218,25 @@ func (n *Node) Double(m int) {
 // first h_j bits of each dimension's index (equivalently, i_j >> (H_j-h_j)
 // matches). The element at q itself is included.
 func (n *Node) Buddies(q int) []int {
-	e := n.Entries[q]
-	base := n.Tuple(q)
+	mask := n.regionMask(&n.Entries[q].H)
 	var out []int
 	for p := range n.Entries {
-		idx := n.Tuple(p)
-		match := true
-		for j := 0; j < n.d; j++ {
-			shift := uint(n.Depths[j] - e.H[j])
-			if idx[j]>>shift != base[j]>>shift {
-				match = false
-				break
-			}
-		}
-		if match {
+		if p&mask == q&mask {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// SetRegion stores e in every element of the region that contains element
+// q at e's local depths, e.g. to coarsen two buddy regions into one.
+func (n *Node) SetRegion(q int, e Entry) {
+	mask := n.regionMask(&e.H)
+	for p := range n.Entries {
+		if p&mask == q&mask {
+			n.Entries[p] = e
+		}
+	}
 }
 
 // Encode writes the node image into buf and returns the bytes written.
@@ -213,16 +250,16 @@ func (n *Node) Encode(buf []byte) (int, error) {
 	}
 	buf[0] = byte(n.Level)
 	for j := 0; j < n.d; j++ {
-		if n.Depths[j] < 0 || n.Depths[j] > 63 {
+		if n.Depths[j] > 63 {
 			return 0, fmt.Errorf("dirnode: depth H_%d = %d out of range", j+1, n.Depths[j])
 		}
-		buf[1+j] = byte(n.Depths[j])
+		buf[1+j] = n.Depths[j]
 	}
 	off := HeaderSize(n.d)
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		for j := 0; j < n.d; j++ {
-			if e.H[j] < 0 || e.H[j] > n.Depths[j] {
+			if e.H[j] > n.Depths[j] {
 				return 0, fmt.Errorf("dirnode: entry %d local depth h_%d = %d out of range 0..%d", i, j+1, e.H[j], n.Depths[j])
 			}
 		}
@@ -234,33 +271,44 @@ func (n *Node) Encode(buf []byte) (int, error) {
 	return off, nil
 }
 
-// Decode parses a node image for dimensionality d.
+// Decode parses a node image for dimensionality d. It allocates the node
+// and one entry array, and rejects every image Encode could not have
+// written, so a decoded node re-encodes to the bytes it came from.
 func Decode(buf []byte, d int) (*Node, error) {
+	if d < 1 || d > MaxDims {
+		return nil, fmt.Errorf("dirnode: dimensionality %d out of range 1..%d", d, MaxDims)
+	}
 	if len(buf) < HeaderSize(d) {
 		return nil, fmt.Errorf("dirnode: short page (%d bytes)", len(buf))
 	}
-	n := &Node{Level: int(buf[0]), Depths: make([]int, d), d: d}
+	var depths [MaxDims]uint8
 	sum := 0
 	for j := 0; j < d; j++ {
-		n.Depths[j] = int(buf[1+j])
-		sum += n.Depths[j]
+		depths[j] = buf[1+j]
+		sum += int(depths[j])
 	}
 	if sum > 30 {
 		return nil, fmt.Errorf("dirnode: implausible ΣH_j = %d", sum)
 	}
 	count := 1 << uint(sum)
+	es := EntrySize(d)
 	off := HeaderSize(d)
-	if off+count*EntrySize(d) > len(buf) {
+	if off+count*es > len(buf) {
 		return nil, fmt.Errorf("dirnode: %d entries overflow %d-byte page", count, len(buf))
 	}
-	n.Entries = make([]Entry, count)
-	for i := 0; i < count; i++ {
-		e, err := DecodeEntry(buf[off:], d)
-		if err != nil {
-			return nil, fmt.Errorf("dirnode: entry %d: %w", i, err)
+	n := &Node{Level: int(buf[0]), Depths: depths, d: d, Entries: make([]Entry, count)}
+	for i := range n.Entries {
+		e := &n.Entries[i]
+		decodeEntry(e, buf[off:off+es], d)
+		for j := 0; j < d; j++ {
+			if e.H[j] > depths[j] {
+				return nil, fmt.Errorf("dirnode: entry %d local depth h_%d = %d out of range 0..%d", i, j+1, e.H[j], depths[j])
+			}
 		}
-		n.Entries[i] = e
-		off += EntrySize(d)
+		if int(e.M) >= d {
+			return nil, fmt.Errorf("dirnode: entry %d split dimension %d out of range", i, e.M)
+		}
+		off += es
 	}
 	return n, nil
 }
@@ -275,7 +323,7 @@ func (n *Node) Validate() error {
 	for q := range n.Entries {
 		e := &n.Entries[q]
 		for j := 0; j < n.d; j++ {
-			if e.H[j] < 0 || e.H[j] > n.Depths[j] {
+			if e.H[j] > n.Depths[j] {
 				return fmt.Errorf("dirnode: entry %d local depth h_%d = %d out of range 0..H=%d", q, j+1, e.H[j], n.Depths[j])
 			}
 		}
@@ -287,10 +335,8 @@ func (n *Node) Validate() error {
 			if b.Ptr != e.Ptr || b.IsNode != e.IsNode {
 				return fmt.Errorf("dirnode: entries %d and %d should share pointer %d but differ", q, p, e.Ptr)
 			}
-			for j := 0; j < n.d; j++ {
-				if b.H[j] != e.H[j] {
-					return fmt.Errorf("dirnode: buddy entries %d,%d disagree on h_%d", q, p, j+1)
-				}
+			if b.H != e.H {
+				return fmt.Errorf("dirnode: buddy entries %d,%d disagree on local depths", q, p)
 			}
 		}
 	}

@@ -2,9 +2,11 @@ package dirnode
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"bmeh/internal/extarray"
 	"bmeh/internal/pagestore"
 )
 
@@ -68,7 +70,7 @@ func TestBuddies(t *testing.T) {
 	q := n.Index([]uint64{2, 0})
 	e := &n.Entries[q]
 	e.Ptr = 42
-	e.H = []int{1, 0}
+	e.H = [MaxDims]uint8{1, 0}
 	buddies := n.Buddies(q)
 	if len(buddies) != 4 {
 		t.Fatalf("region size %d, want 4", len(buddies))
@@ -80,7 +82,7 @@ func TestBuddies(t *testing.T) {
 		}
 	}
 	// Full-depth region: only itself.
-	e.H = []int{2, 1}
+	e.H = [MaxDims]uint8{2, 1}
 	if got := n.Buddies(q); len(got) != 1 || got[0] != q {
 		t.Errorf("full-depth buddies = %v", got)
 	}
@@ -101,17 +103,17 @@ func randomNode(rng *rand.Rand, d int) *Node {
 			continue
 		}
 		// Pick local depths at most the global depths, aligned at q.
-		h := make([]int, d)
+		var h [MaxDims]uint8
 		idx := n.Tuple(q)
 		ok := true
 		for j := 0; j < d; j++ {
-			h[j] = rng.Intn(n.Depths[j] + 1)
+			h[j] = uint8(rng.Intn(int(n.Depths[j]) + 1))
 			shift := uint(n.Depths[j] - h[j])
 			if idx[j]>>shift<<shift != idx[j] {
 				ok = false
 			}
 		}
-		region := func(h []int) []int {
+		region := func(h [MaxDims]uint8) []int {
 			var cells []int
 			for p := 0; p < n.Size(); p++ {
 				pi := n.Tuple(p)
@@ -134,7 +136,7 @@ func randomNode(rng *rand.Rand, d int) *Node {
 			if !ok || n.Entries[p].Ptr != pagestore.NilPage {
 				// Misaligned or overlapping an earlier region: fall back to
 				// a singleton region.
-				h = append([]int(nil), n.Depths...)
+				h = n.Depths
 				cells = region(h)
 				break
 			}
@@ -142,7 +144,7 @@ func randomNode(rng *rand.Rand, d int) *Node {
 		isNode := rng.Intn(2) == 0
 		m := rng.Intn(d)
 		for _, p := range cells {
-			n.Entries[p] = Entry{Ptr: ptr, IsNode: isNode, H: append([]int(nil), h...), M: m}
+			n.Entries[p] = Entry{Ptr: ptr, IsNode: isNode, H: h, M: uint8(m)}
 		}
 		ptr++
 	}
@@ -192,7 +194,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeRejectsBadEntries(t *testing.T) {
 	n := New(2, 1)
-	n.Entries[0].H = []int{1, 0} // local depth above global depth 0
+	n.Entries[0].H = [MaxDims]uint8{1, 0} // local depth above global depth 0
 	buf := make([]byte, 256)
 	if _, err := n.Encode(buf); err == nil {
 		t.Fatal("Encode accepted h > H")
@@ -223,8 +225,8 @@ func TestDecodeRejectsCorruptHeader(t *testing.T) {
 func TestValidateCatchesBrokenRegions(t *testing.T) {
 	n := New(2, 1)
 	n.Double(0)
-	n.Entries[0] = Entry{Ptr: 5, H: []int{0, 0}, M: 0}
-	n.Entries[1] = Entry{Ptr: 6, H: []int{0, 0}, M: 0} // same region, different ptr
+	n.Entries[0] = Entry{Ptr: 5, M: 0}
+	n.Entries[1] = Entry{Ptr: 6, M: 0} // same region, different ptr
 	if err := n.Validate(); err == nil {
 		t.Fatal("Validate accepted inconsistent region")
 	}
@@ -251,7 +253,7 @@ func TestIORoundTrip(t *testing.T) {
 }
 
 func TestEntryCodecStandalone(t *testing.T) {
-	e := Entry{Ptr: 12345, IsNode: true, H: []int{3, 0, 7}, M: 2}
+	e := Entry{Ptr: 12345, IsNode: true, H: [MaxDims]uint8{3, 0, 7}, M: 2}
 	buf := make([]byte, EntrySize(3))
 	if err := EncodeEntry(buf, &e, 3); err != nil {
 		t.Fatal(err)
@@ -269,5 +271,132 @@ func TestPageBytes(t *testing.T) {
 	// φ = 6, d = 2: 3-byte header + 64 × 7-byte entries.
 	if got := PageBytes(2, 6); got != 3+64*7 {
 		t.Fatalf("PageBytes(2,6) = %d", got)
+	}
+}
+
+func TestMaxDimsMatchesExtarray(t *testing.T) {
+	if MaxDims != extarray.MaxDims {
+		t.Fatalf("dirnode.MaxDims = %d, extarray.MaxDims = %d", MaxDims, extarray.MaxDims)
+	}
+}
+
+// TestDoubleMatchesTuples checks Double's bit arithmetic against the
+// definition: new cell idx copies old cell idx with idx_m halved.
+func TestDoubleMatchesTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		d := 1 + rng.Intn(4)
+		n := randomNode(rng, d)
+		old := n.Clone()
+		m := rng.Intn(d)
+		n.Double(m)
+		for q := range n.Entries {
+			src := n.Tuple(q)
+			src[m] >>= 1
+			if n.Entries[q] != old.Entries[old.Index(src)] {
+				t.Fatalf("d=%d m=%d: cell %v differs from its source", d, m, n.Tuple(q))
+			}
+		}
+	}
+}
+
+// TestBuddiesMatchesTuples checks Buddies against the definition: the
+// cells whose tuple agrees with q's on the top h_j bits of every index.
+func TestBuddiesMatchesTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		d := 1 + rng.Intn(4)
+		n := randomNode(rng, d)
+		for q := range n.Entries {
+			e, base := n.Entries[q], n.Tuple(q)
+			var want []int
+			for p := range n.Entries {
+				idx, in := n.Tuple(p), true
+				for j := 0; j < d; j++ {
+					shift := n.Depths[j] - e.H[j]
+					in = in && idx[j]>>shift == base[j]>>shift
+				}
+				if in {
+					want = append(want, p)
+				}
+			}
+			if got := n.Buddies(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Buddies(%d) = %v, want %v", q, got, want)
+			}
+		}
+	}
+}
+
+// fullNode returns a node with 2^phi elements spread over d dimensions.
+func fullNode(d, phi int) *Node {
+	n := New(d, 1)
+	for i := 0; i < phi; i++ {
+		n.Double(i % d)
+	}
+	for q := range n.Entries {
+		n.Entries[q].Ptr = pagestore.PageID(q + 1)
+		n.Entries[q].H = n.Depths
+	}
+	return n
+}
+
+func TestDecodeAllocs(t *testing.T) {
+	n := fullNode(2, 6)
+	buf := make([]byte, PageBytes(2, 6))
+	if _, err := n.Encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(buf, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Decode of a 64-entry node: %.1f allocations, want ≤ 2", allocs)
+	}
+}
+
+func TestCloneAllocs(t *testing.T) {
+	n := fullNode(2, 6)
+	allocs := testing.AllocsPerRun(100, func() { _ = n.Clone() })
+	if allocs > 2 {
+		t.Fatalf("Clone of a 64-entry node: %.1f allocations, want ≤ 2", allocs)
+	}
+	c := n.Clone()
+	c.Entries[0].H[0] = 0
+	c.Depths[1] = 0
+	if n.Entries[0].H[0] == 0 || n.Depths[1] == 0 {
+		t.Fatal("mutating a clone changed the original")
+	}
+}
+
+// TestHalveMatchesTuples checks Halve against the definition (new cell idx
+// copies old cell idx with idx_m doubled) and that it undoes Double.
+func TestHalveMatchesTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		d := 1 + rng.Intn(4)
+		n := randomNode(rng, d)
+		m := rng.Intn(d)
+		if n.Depths[m] == 0 {
+			continue
+		}
+		old := n.Clone()
+		n.Halve(m)
+		for q := range n.Entries {
+			src := n.Tuple(q)
+			src[m] <<= 1
+			want := old.Entries[old.Index(src)]
+			want.H[m] = min(want.H[m], n.Depths[m])
+			if n.Entries[q] != want {
+				t.Fatalf("d=%d m=%d: cell %v differs from its source", d, m, n.Tuple(q))
+			}
+		}
+		before := n.Clone()
+		n.Double(m)
+		n.Halve(m)
+		if !reflect.DeepEqual(n.Entries, before.Entries) || n.Depths != before.Depths {
+			t.Fatalf("d=%d m=%d: Halve does not undo Double", d, m)
+		}
 	}
 }

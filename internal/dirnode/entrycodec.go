@@ -22,19 +22,14 @@ func EncodeEntry(buf []byte, e *Entry, d int) error {
 		p |= nodeFlag
 	}
 	binary.BigEndian.PutUint32(buf[0:4], p)
-	if len(e.H) != d {
-		return fmt.Errorf("dirnode: entry has %d local depths, want %d", len(e.H), d)
+	if d < 1 || d > MaxDims {
+		return fmt.Errorf("dirnode: dimensionality %d out of range 1..%d", d, MaxDims)
 	}
-	for j := 0; j < d; j++ {
-		if e.H[j] < 0 || e.H[j] > 255 {
-			return fmt.Errorf("dirnode: local depth h_%d = %d out of range", j+1, e.H[j])
-		}
-		buf[4+j] = byte(e.H[j])
-	}
-	if e.M < 0 || e.M >= d {
+	copy(buf[4:4+d], e.H[:d])
+	if int(e.M) >= d {
 		return fmt.Errorf("dirnode: split dimension %d out of range", e.M)
 	}
-	buf[4+d] = byte(e.M)
+	buf[4+d] = e.M
 	return nil
 }
 
@@ -43,15 +38,23 @@ func DecodeEntry(buf []byte, d int) (Entry, error) {
 	if len(buf) < EntrySize(d) {
 		return Entry{}, fmt.Errorf("dirnode: entry buffer %d bytes < %d", len(buf), EntrySize(d))
 	}
-	p := binary.BigEndian.Uint32(buf[0:4])
-	e := Entry{
-		Ptr:    pagestore.PageID(p &^ nodeFlag),
-		IsNode: p&nodeFlag != 0,
-		H:      make([]int, d),
-		M:      int(buf[4+d]),
+	if d < 1 || d > MaxDims {
+		return Entry{}, fmt.Errorf("dirnode: dimensionality %d out of range 1..%d", d, MaxDims)
 	}
-	for j := 0; j < d; j++ {
-		e.H[j] = int(buf[4+j])
-	}
+	var e Entry
+	decodeEntry(&e, buf[:EntrySize(d)], d)
 	return e, nil
+}
+
+// decodeEntry is DecodeEntry without the checks, decoding in place: buf
+// is exactly EntrySize(d) bytes and 1 ≤ d ≤ MaxDims. Node decoding calls
+// it once per element.
+func decodeEntry(e *Entry, buf []byte, d int) {
+	p := binary.BigEndian.Uint32(buf)
+	e.Ptr = pagestore.PageID(p &^ nodeFlag)
+	e.IsNode = p&nodeFlag != 0
+	for j, h := range buf[4 : 4+d] {
+		e.H[j] = h
+	}
+	e.M = buf[4+d]
 }

@@ -159,7 +159,7 @@ func (t *Table) Insert(k bitkey.Component, v uint64) error {
 				return err
 			}
 			p := datapage.New(1)
-			p.Insert(datapage.Record{Key: bitkey.Vector{k}, Value: v})
+			p.Insert(bitkey.Vector{k}, v)
 			if err := t.pages.Write(id, p); err != nil {
 				return err
 			}
@@ -175,7 +175,7 @@ func (t *Table) Insert(k bitkey.Component, v uint64) error {
 			return ErrDuplicate
 		}
 		if p.Len() < t.capacity {
-			p.Insert(datapage.Record{Key: bitkey.Vector{k}, Value: v})
+			p.Insert(bitkey.Vector{k}, v)
 			if err := t.pages.Write(s.ptr, p); err != nil {
 				return err
 			}
@@ -382,9 +382,9 @@ func (t *Table) Range(lo, hi bitkey.Component, fn func(k bitkey.Component, v uin
 		if err != nil {
 			return err
 		}
-		for _, r := range p.Records() {
-			if r.Key[0] >= lo && r.Key[0] <= hi {
-				if !fn(r.Key[0], r.Value) {
+		for i := 0; i < p.Len(); i++ {
+			if k := p.Key(i)[0]; k >= lo && k <= hi {
+				if !fn(k, p.Value(i)) {
 					return nil
 				}
 			}

@@ -30,7 +30,7 @@ func (t *Tree) Delete(k bitkey.Vector) (bool, error) {
 		if e.IsNode {
 			stack = append(stack, frame{id: id, node: node})
 			for j := 0; j < d; j++ {
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			id = e.Ptr
 			var err error
@@ -83,26 +83,26 @@ func (t *Tree) mergePages(node *dirnode.Node, q int) error {
 		if e.Ptr == pagestore.NilPage || e.IsNode {
 			return nil
 		}
-		m := e.M
+		m := int(e.M)
 		if e.H[m] == 0 {
 			return nil
 		}
 		idx := node.Tuple(q)
 		bidx := append([]uint64(nil), idx...)
-		bidx[m] ^= uint64(1) << uint(node.Depths[m]-e.H[m])
+		bidx[m] ^= uint64(1) << (node.Depths[m] - e.H[m])
 		bq := node.Index(bidx)
 		be := node.Entries[bq]
-		if be.IsNode || !sameInts(be.H, e.H) || be.Ptr == e.Ptr {
+		if be.IsNode || be.H != e.H || be.Ptr == e.Ptr {
 			return nil
 		}
-		mergedH := append([]int(nil), e.H...)
+		mergedH := e.H
 		mergedH[m]--
-		prevM := (m + t.prm.Dims - 1) % t.prm.Dims
+		prevM := uint8((m + t.prm.Dims - 1) % t.prm.Dims)
 		switch {
 		case be.Ptr == pagestore.NilPage:
-			coarsenRegion(node, q, mergedH, e.Ptr, false, prevM)
+			node.SetRegion(q, dirnode.Entry{Ptr: e.Ptr, IsNode: false, H: mergedH, M: prevM})
 		case e.Ptr == pagestore.NilPage:
-			coarsenRegion(node, bq, mergedH, be.Ptr, false, prevM)
+			node.SetRegion(bq, dirnode.Entry{Ptr: be.Ptr, IsNode: false, H: mergedH, M: prevM})
 			q = bq
 		default:
 			p, err := t.pages.Read(e.Ptr)
@@ -125,30 +125,7 @@ func (t *Tree) mergePages(node *dirnode.Node, q int) error {
 			if err := t.pages.Write(e.Ptr, p); err != nil {
 				return err
 			}
-			coarsenRegion(node, q, mergedH, e.Ptr, false, prevM)
-		}
-	}
-}
-
-func inRegion(node *dirnode.Node, i, q int, h []int) bool {
-	ti, tq := node.Tuple(i), node.Tuple(q)
-	for j := 0; j < node.Dims(); j++ {
-		shift := uint(node.Depths[j] - h[j])
-		if ti[j]>>shift != tq[j]>>shift {
-			return false
-		}
-	}
-	return true
-}
-
-func coarsenRegion(node *dirnode.Node, q int, h []int, ptr pagestore.PageID, isNode bool, m int) {
-	for i := range node.Entries {
-		if inRegion(node, i, q, h) {
-			en := &node.Entries[i]
-			en.Ptr = ptr
-			en.IsNode = isNode
-			copy(en.H, h)
-			en.M = m
+			node.SetRegion(q, dirnode.Entry{Ptr: e.Ptr, IsNode: false, H: mergedH, M: prevM})
 		}
 	}
 }
@@ -172,36 +149,12 @@ func (t *Tree) shrinkNode(node *dirnode.Node) {
 			if needed {
 				continue
 			}
-			undouble(node, m)
+			node.Halve(m)
 			shrunk = true
 		}
 		if !shrunk {
 			return
 		}
-	}
-}
-
-func undouble(node *dirnode.Node, m int) {
-	old := node.Entries
-	oldDepths := append([]int(nil), node.Depths...)
-	oldIndex := func(idx []uint64) int {
-		q := uint64(0)
-		for j := 0; j < node.Dims(); j++ {
-			q = q<<uint(oldDepths[j]) | idx[j]
-		}
-		return int(q)
-	}
-	node.Depths[m]--
-	node.Entries = make([]dirnode.Entry, len(old)/2)
-	for q := range node.Entries {
-		idx := node.Tuple(q)
-		src := append([]uint64(nil), idx...)
-		src[m] <<= 1
-		e := dirnode.CloneEntry(old[oldIndex(src)])
-		if e.H[m] > node.Depths[m] {
-			e.H[m] = node.Depths[m]
-		}
-		node.Entries[q] = e
 	}
 }
 
@@ -294,8 +247,8 @@ func (t *Tree) Range(lo, hi bitkey.Vector, fn func(k bitkey.Vector, v uint64) bo
 		L := make([]uint64, d)
 		U := make([]uint64, d)
 		for j := 0; j < d; j++ {
-			L[j] = bitkey.G(vlo[j], n.Depths[j], t.prm.Width)
-			U[j] = bitkey.G(vhi[j], n.Depths[j], t.prm.Width)
+			L[j] = bitkey.G(vlo[j], int(n.Depths[j]), t.prm.Width)
+			U[j] = bitkey.G(vhi[j], int(n.Depths[j]), t.prm.Width)
 		}
 		idx := append([]uint64(nil), L...)
 		for {
@@ -307,13 +260,13 @@ func (t *Tree) Range(lo, hi bitkey.Vector, fn func(k bitkey.Vector, v uint64) bo
 					chi := make(bitkey.Vector, d)
 					for j := 0; j < d; j++ {
 						regionPrefix := idx[j] >> uint(n.Depths[j]-e.H[j])
-						if bitkey.G(vlo[j], e.H[j], t.prm.Width) == regionPrefix {
-							clo[j] = bitkey.LeftShift(vlo[j], e.H[j], t.prm.Width)
+						if bitkey.G(vlo[j], int(e.H[j]), t.prm.Width) == regionPrefix {
+							clo[j] = bitkey.LeftShift(vlo[j], int(e.H[j]), t.prm.Width)
 						} else {
 							clo[j] = 0
 						}
-						if bitkey.G(vhi[j], e.H[j], t.prm.Width) == regionPrefix {
-							chi[j] = bitkey.LeftShift(vhi[j], e.H[j], t.prm.Width)
+						if bitkey.G(vhi[j], int(e.H[j]), t.prm.Width) == regionPrefix {
+							chi[j] = bitkey.LeftShift(vhi[j], int(e.H[j]), t.prm.Width)
 						} else {
 							chi[j] = full
 						}
@@ -334,9 +287,9 @@ func (t *Tree) Range(lo, hi bitkey.Vector, fn func(k bitkey.Vector, v uint64) bo
 					if err != nil {
 						return err
 					}
-					for _, rec := range p.Records() {
-						if inBox(rec.Key, lo, hi) {
-							if !fn(rec.Key, rec.Value) {
+					for i := 0; i < p.Len(); i++ {
+						if k := p.Key(i); inBox(k, lo, hi) {
+							if !fn(k, p.Value(i)) {
 								stopped = true
 								return nil
 							}

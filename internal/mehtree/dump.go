@@ -15,7 +15,7 @@ func (t *Tree) Dump(w io.Writer) error {
 		t.prm.Dims, t.prm.Width, t.prm.Capacity, t.prm.Xi, t.n, t.nNodes, t.Levels(), t.DirectoryElements())
 	var walk func(id pagestore.PageID, n *dirnode.Node, indent string) error
 	walk = func(id pagestore.PageID, n *dirnode.Node, indent string) error {
-		fmt.Fprintf(w, "%snode %d: depth=%d H=%v (%d elements)\n", indent, id, n.Level, n.Depths, n.Size())
+		fmt.Fprintf(w, "%snode %d: depth=%d H=%v (%d elements)\n", indent, id, n.Level, n.Depths[:n.Dims()], n.Size())
 		printed := make(map[pagestore.PageID]bool)
 		for q := range n.Entries {
 			e := &n.Entries[q]
@@ -25,7 +25,7 @@ func (t *Tree) Dump(w io.Writer) error {
 			printed[e.Ptr] = true
 			idx := n.Tuple(q)
 			if e.IsNode {
-				fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> node %d\n", indent, idx, e.H, e.M+1, e.Ptr)
+				fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> node %d\n", indent, idx, e.H[:n.Dims()], e.M+1, e.Ptr)
 				c, err := t.readNode(e.Ptr)
 				if err != nil {
 					return err
@@ -40,7 +40,7 @@ func (t *Tree) Dump(w io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> page %d (%d/%d records)\n",
-				indent, idx, e.H, e.M+1, e.Ptr, p.Len(), t.prm.Capacity)
+				indent, idx, e.H[:n.Dims()], e.M+1, e.Ptr, p.Len(), t.prm.Capacity)
 		}
 		return nil
 	}

@@ -116,7 +116,7 @@ func (t *Tree) writeNode(id pagestore.PageID, n *dirnode.Node) error {
 func (t *Tree) nodeIndex(n *dirnode.Node, v bitkey.Vector) int {
 	idx := make([]uint64, t.prm.Dims)
 	for j := range idx {
-		idx[j] = bitkey.G(v[j], n.Depths[j], t.prm.Width)
+		idx[j] = bitkey.G(v[j], int(n.Depths[j]), t.prm.Width)
 	}
 	return n.Index(idx)
 }
@@ -144,7 +144,7 @@ func (t *Tree) Search(k bitkey.Vector) (uint64, bool, error) {
 			return val, ok, nil
 		}
 		for j := 0; j < t.prm.Dims; j++ {
-			v[j] = bitkey.LeftShift(v[j], e.H[j], t.prm.Width)
+			v[j] = bitkey.LeftShift(v[j], int(e.H[j]), t.prm.Width)
 		}
 		var err error
 		node, err = t.readNode(e.Ptr)
@@ -183,8 +183,8 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64) (bool, error) {
 		e := &node.Entries[q]
 		if e.Ptr != pagestore.NilPage && e.IsNode {
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			id = e.Ptr
 			var err error
@@ -200,11 +200,11 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64) (bool, error) {
 				return false, err
 			}
 			p := datapage.New(d)
-			p.Insert(datapage.Record{Key: k.Clone(), Value: v})
+			p.Insert(k, v)
 			if err := t.pages.Write(pid, p); err != nil {
 				return false, err
 			}
-			h, em := append([]int(nil), e.H...), e.M
+			h, em := e.H, e.M
 			for _, b := range node.Buddies(q) {
 				en := &node.Entries[b]
 				if en.Ptr != pagestore.NilPage {
@@ -212,7 +212,7 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64) (bool, error) {
 				}
 				en.Ptr = pid
 				en.IsNode = false
-				copy(en.H, h)
+				en.H = h
 				en.M = em
 			}
 			if err := t.writeNode(id, node); err != nil {
@@ -229,7 +229,7 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64) (bool, error) {
 			return false, ErrDuplicate
 		}
 		if p.Len() < t.prm.Capacity {
-			p.Insert(datapage.Record{Key: k.Clone(), Value: v})
+			p.Insert(k, v)
 			if err := t.pages.Write(e.Ptr, p); err != nil {
 				return false, err
 			}
@@ -250,9 +250,9 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 	if !ok {
 		return fmt.Errorf("mehtree: cannot split page: all dimensions exhausted at width %d", t.prm.Width)
 	}
-	newh := e.H[m] + 1
-	if newh > node.Depths[m] {
-		if node.Depths[m] < t.prm.Xi[m] {
+	newh := int(e.H[m]) + 1
+	if newh > int(node.Depths[m]) {
+		if int(node.Depths[m]) < t.prm.Xi[m] {
 			node.Double(m)
 			return t.writeNode(id, node)
 		}
@@ -265,17 +265,17 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 		}
 		t.nNodes++
 		child := dirnode.New(t.prm.Dims, node.Level+1)
-		child.Entries[0] = dirnode.Entry{Ptr: e.Ptr, IsNode: false, H: make([]int, t.prm.Dims), M: e.M}
+		child.Entries[0] = dirnode.Entry{Ptr: e.Ptr, IsNode: false, M: e.M}
 		if err := t.nodes.Write(cid, child); err != nil {
 			return err
 		}
 		if node.Level+1 > t.depth {
 			t.depth = node.Level + 1
 		}
-		oldPtr, oldH := e.Ptr, append([]int(nil), e.H...)
+		oldPtr, oldH := e.Ptr, e.H
 		for i := range node.Entries {
 			en := &node.Entries[i]
-			if en.Ptr == oldPtr && !en.IsNode && sameInts(en.H, oldH) {
+			if en.Ptr == oldPtr && !en.IsNode && en.H == oldH {
 				en.Ptr = cid
 				en.IsNode = true
 			}
@@ -286,8 +286,7 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 	// The halves go to fresh copy-on-write pages; the node write commits
 	// and the old page is freed afterwards, so a storage fault cannot lose
 	// acknowledged records.
-	oldPtr := e.Ptr
-	oldH := append([]int(nil), e.H...)
+	oldPtr, oldH := e.Ptr, e.H
 	ones := p.PartitionByBit(m, strip[m]+newh, t.prm.Width)
 	writeHalf := func(half *datapage.Page) (pagestore.PageID, error) {
 		if half.Len() == 0 {
@@ -307,10 +306,10 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 	if err != nil {
 		return err
 	}
-	shift := uint(node.Depths[m] - newh)
+	shift := uint(int(node.Depths[m]) - newh)
 	for i := range node.Entries {
 		en := &node.Entries[i]
-		if en.Ptr != oldPtr || en.IsNode || !sameInts(en.H, oldH) {
+		if en.Ptr != oldPtr || en.IsNode || en.H != oldH {
 			continue
 		}
 		idx := node.Tuple(i)
@@ -319,8 +318,8 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 		} else {
 			en.Ptr = po
 		}
-		en.H[m] = newh
-		en.M = m
+		en.H[m] = uint8(newh)
+		en.M = uint8(m)
 	}
 	if err := t.writeNode(id, node); err != nil {
 		return err
@@ -331,8 +330,8 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 func (t *Tree) nextSplitDim(e *dirnode.Entry, strip []int) (int, bool) {
 	d := t.prm.Dims
 	for step := 1; step <= d; step++ {
-		m := (e.M + step) % d
-		if strip[m]+e.H[m] < t.prm.Width {
+		m := (int(e.M) + step) % d
+		if strip[m]+int(e.H[m]) < t.prm.Width {
 			return m, true
 		}
 	}
@@ -351,18 +350,6 @@ func (t *Tree) checkKey(k bitkey.Vector) error {
 		}
 	}
 	return nil
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Params returns the tree's configuration.

@@ -22,7 +22,7 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("node %d: %w", id, err)
 		}
 		for j := 0; j < t.prm.Dims; j++ {
-			if n.Depths[j] > t.prm.Xi[j] {
+			if int(n.Depths[j]) > t.prm.Xi[j] {
 				return fmt.Errorf("node %d: H_%d = %d exceeds ξ = %d", id, j+1, n.Depths[j], t.prm.Xi[j])
 			}
 		}
@@ -46,11 +46,11 @@ func (t *Tree) Validate() error {
 			cp := prefix.Clone()
 			cs := append([]int(nil), strip...)
 			for j := 0; j < t.prm.Dims; j++ {
-				hb := idx[j] >> uint(n.Depths[j]-e.H[j])
+				hb := idx[j] >> (n.Depths[j] - e.H[j])
 				if e.H[j] > 0 {
-					cp[j] |= bitkey.Component(hb) << uint(t.prm.Width-cs[j]-e.H[j])
+					cp[j] |= bitkey.Component(hb) << uint(t.prm.Width-cs[j]-int(e.H[j]))
 				}
-				cs[j] += e.H[j]
+				cs[j] += int(e.H[j])
 			}
 			if e.IsNode {
 				if seenNodes[e.Ptr] {
@@ -81,13 +81,14 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("page %d: %w", e.Ptr, err)
 			}
 			total += p.Len()
-			for _, rec := range p.Records() {
+			for i := 0; i < p.Len(); i++ {
+				k := p.Key(i)
 				for j := 0; j < t.prm.Dims; j++ {
 					if cs[j] == 0 {
 						continue
 					}
-					if bitkey.G(rec.Key[j], cs[j], t.prm.Width) != bitkey.G(cp[j], cs[j], t.prm.Width) {
-						return fmt.Errorf("page %d: record %v violates dim-%d prefix (depth %d)", e.Ptr, rec.Key, j+1, cs[j])
+					if bitkey.G(k[j], cs[j], t.prm.Width) != bitkey.G(cp[j], cs[j], t.prm.Width) {
+						return fmt.Errorf("page %d: record %v violates dim-%d prefix (depth %d)", e.Ptr, k, j+1, cs[j])
 					}
 				}
 			}

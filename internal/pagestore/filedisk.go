@@ -95,6 +95,10 @@ type FileDisk struct {
 	// it rewrites, so each committed page version is verified exactly
 	// once no matter how often it is re-read. Guarded by mu.
 	verified []uint64
+	// slotBuf receives the pread of every page read served from the file
+	// without a mapping, so a read miss allocates nothing (callers copy
+	// out under mu). Guarded by mu.
+	slotBuf []byte
 }
 
 // CreateFileDisk creates (truncating) a file-backed disk at path, together
@@ -359,6 +363,12 @@ func verifySlot(buf []byte, pageSize int, id PageID, want Kind) error {
 // pinned root). Safe without mu: the view field is immutable once the
 // store is shared and the verified bitmap is not consulted here.
 func (d *FileDisk) readSlot(id PageID, want Kind) ([]byte, error) {
+	return d.readSlotInto(id, want, nil)
+}
+
+// readSlotInto is readSlot with the pread landing in buf (slotSize bytes)
+// instead of a fresh buffer; nil allocates one.
+func (d *FileDisk) readSlotInto(id PageID, want Kind, buf []byte) ([]byte, error) {
 	if v := d.view; v != nil {
 		sl, err := v.Slice(int64(id)*d.slotSize(), int(d.slotSize()))
 		if err != nil {
@@ -369,14 +379,16 @@ func (d *FileDisk) readSlot(id PageID, want Kind) ([]byte, error) {
 		}
 		return sl[:d.pageSize:d.pageSize], nil
 	}
-	buf := make([]byte, d.slotSize())
+	if buf == nil {
+		buf = make([]byte, d.slotSize())
+	}
 	if _, err := d.f.ReadAt(buf, int64(id)*d.slotSize()); err != nil {
 		return nil, fmt.Errorf("pagestore: page %d unreadable: %w", id, ErrCorrupt)
 	}
 	if err := verifySlot(buf, d.pageSize, id, want); err != nil {
 		return nil, err
 	}
-	return buf[:d.pageSize], nil
+	return buf[:d.pageSize:d.pageSize], nil
 }
 
 // isVerified/markVerified/clearVerified maintain the verify-once bitmap.
@@ -404,12 +416,16 @@ func (d *FileDisk) clearVerified(id PageID) {
 // slotViewLocked is the hot-path variant of readSlot: with a mapping
 // attached it skips CRC re-verification of slots whose bytes have not
 // changed since they last passed (the bitmap is invalidated per slot at
-// commit). Caller holds mu; the returned slice must not be retained past
-// the mu scope unless the caller copies it.
+// commit); without one it preads into the store's reusable slot buffer.
+// Caller holds mu; the returned slice must not be retained past the mu
+// scope unless the caller copies it.
 func (d *FileDisk) slotViewLocked(id PageID) ([]byte, error) {
 	v := d.view
 	if v == nil {
-		return d.readSlot(id, d.kinds[id])
+		if d.slotBuf == nil {
+			d.slotBuf = make([]byte, d.slotSize())
+		}
+		return d.readSlotInto(id, d.kinds[id], d.slotBuf)
 	}
 	sl, err := v.Slice(int64(id)*d.slotSize(), int(d.slotSize()))
 	if err != nil {

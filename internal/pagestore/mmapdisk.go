@@ -270,6 +270,9 @@ func (d *MmapDisk) ReadSlice(id PageID) ([]byte, error) {
 	if d.view != nil {
 		d.zeroReads.Add(1)
 	} else {
+		// Without a mapping the image sits in the store's reusable slot
+		// buffer, which the next read overwrites.
+		page = append([]byte(nil), page...)
 		d.copiedReads.Add(1)
 	}
 	return page, nil
